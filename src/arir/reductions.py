@@ -14,16 +14,6 @@ from dataclasses import dataclass
 
 from .graph import ContractError, FoldRecord, StaticGraph, WorkingGraph
 
-RULE_ORDER = (
-    "zero",
-    "one",
-    "triangle",
-    "quadrilateral",
-    "fold",
-    "domination",
-    "twin_edge",
-)
-
 SIMPLE_RULES = frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"})
 ADVANCED_RULES = frozenset(
     {"zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"}

@@ -53,10 +53,31 @@ class LiveView:
         return i < len(a) and a[i] == v
 
 
+# A perturbation picks uniformly among the oldest free_count // _WINDOW_SHARE
+# + 1 entries of the age queue, about the rank a 64-draw tournament's winner
+# would have.
+_WINDOW_SHARE = 32
+# The age queue is compacted once its dead prefix is over half of it and
+# longer than this.
+_COMPACT_MIN = 4096
+
+
 class SolutionState:
     """Independent set plus the counters the search needs: per-vertex
-    tightness (number of solution neighbors), last-removal timestamps, and a
-    seeded RNG. Single-owner, single-threaded."""
+    tightness (number of solution neighbors), last-removal timestamps, an
+    age queue of free vertices, and a seeded RNG. Single-owner,
+    single-threaded.
+
+    The age queue is an append-only list with lazy deletion. A vertex is
+    appended when it leaves the solution, right after its last_out is
+    stamped, so live entries are in nondecreasing last_out order. Entry i is
+    live iff _age_pos[age[i]] == i; solution vertices have _age_pos -1. No
+    live entry precedes _age_head.
+
+    swap_free records that no (1,2)-swap remains once the pending tightness
+    transitions are drained, so an incremental exhaust_swaps() suffices; the
+    first seeded exhaustion sets it and incremental exhaustion keeps it.
+    """
 
     __slots__ = (
         "view",
@@ -66,12 +87,14 @@ class SolutionState:
         "last_out",
         "size",
         "iteration",
-        "free_list",
-        "free_pos",
+        "free_count",
+        "swap_free",
         "touches",
         "max_iter_touches",
-        "tournament_size",
         "force_cap",
+        "_age",
+        "_age_pos",
+        "_age_head",
         "_zero_heap",
         "_one_buf",
         "_queue",
@@ -80,13 +103,7 @@ class SolutionState:
         "_stamp",
     )
 
-    def __init__(
-        self,
-        view: LiveView,
-        rng: random.Random,
-        tournament_size: int = 64,
-        force_cap: int = 32,
-    ):
+    def __init__(self, view: LiveView, rng: random.Random, force_cap: int = 32):
         n = view.universe
         self.view = view
         self.rng = rng
@@ -95,13 +112,19 @@ class SolutionState:
         self.last_out = [0] * n
         self.size = 0
         self.iteration = 1
-        self.free_list = list(view.vertices)
-        self.free_pos = [-1] * n
-        for i, v in enumerate(self.free_list):
-            self.free_pos[v] = i
+        # Every vertex starts free with age 0; the shuffle keeps the first
+        # picks from favouring low ids.
+        age = list(view.vertices)
+        rng.shuffle(age)
+        self._age = age
+        self._age_pos = [-1] * n
+        for i, v in enumerate(age):
+            self._age_pos[v] = i
+        self._age_head = 0
+        self.free_count = len(age)
+        self.swap_free = False
         self.touches = 0
         self.max_iter_touches = 0
-        self.tournament_size = tournament_size
         self.force_cap = force_cap
         self._zero_heap: list[int] = []
         self._one_buf: list[int] = []
@@ -114,22 +137,11 @@ class SolutionState:
         in_sol = self.in_sol
         return {v for v in self.view.vertices if in_sol[v]}
 
-    def _free_remove(self, v: int) -> None:
-        pos = self.free_pos[v]
-        last = self.free_list[-1]
-        self.free_list[pos] = last
-        self.free_pos[last] = pos
-        self.free_list.pop()
-        self.free_pos[v] = -1
-
-    def _free_add(self, v: int) -> None:
-        self.free_pos[v] = len(self.free_list)
-        self.free_list.append(v)
-
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
         self.size += 1
-        self._free_remove(v)
+        self._age_pos[v] = -1
+        self.free_count -= 1
         adj = self.view.adj[v]
         self.touches += len(adj)
         tight = self.tight
@@ -144,7 +156,10 @@ class SolutionState:
         self.in_sol[v] = 0
         self.size -= 1
         self.last_out[v] = self.iteration
-        self._free_add(v)
+        age = self._age
+        self._age_pos[v] = len(age)
+        age.append(v)
+        self.free_count += 1
         adj = self.view.adj[v]
         self.touches += len(adj)
         tight = self.tight
@@ -165,7 +180,11 @@ class SolutionState:
         by prior removals; the public form rescans all free vertices.
         """
         if full_scan:
-            self._zero_heap = [v for v in self.free_list if self.tight[v] == 0]
+            in_sol = self.in_sol
+            tight = self.tight
+            self._zero_heap = [
+                v for v in self.view.vertices if not in_sol[v] and tight[v] == 0
+            ]
             heapify(self._zero_heap)
         zero_heap = self._zero_heap
         inserted = 0
@@ -242,8 +261,8 @@ class SolutionState:
         """Apply (1,2)-swaps until none applies to any queued solution vertex.
 
         With seed_all, every current solution vertex is examined, which makes
-        the exhaustion complete from any starting state; afterwards the queue
-        is fed incrementally by tightness transitions.
+        the exhaustion complete from any starting state and sets swap_free;
+        afterwards the queue is fed incrementally by tightness transitions.
         """
         if seed_all:
             for v in self.view.vertices:
@@ -268,32 +287,50 @@ class SolutionState:
             swaps += 1
             self.maintain_maximality(full_scan=False)
             self._drain_one_buf()
+        if seed_all:
+            self.swap_free = True
         return swaps
 
-    def _tournament_pick(self, batch: list[int]) -> int | None:
-        """Pick a free vertex biased toward the oldest removal timestamp:
-        draw tournament_size uniform candidates, keep the smallest last_out.
-        Redraw when the winner is adjacent to an already-forced vertex."""
-        free_list = self.free_list
+    def _age_pick(self, batch: list[int]) -> int | None:
+        """Pick a free vertex biased toward the oldest removal timestamp: one
+        uniform draw over the oldest window of the age queue, falling back to
+        the oldest live entry on a dead slot. Redraw when the pick is
+        adjacent to an already-forced vertex. Needs free_count >= 1."""
+        pos = self._age_pos
+        age = self._age
+        h = self._age_head
+        while pos[age[h]] != h:
+            h += 1
+        if h > _COMPACT_MIN and 2 * h > len(age):
+            self._compact()
+            age = self._age
+            h = 0
+        self._age_head = h
+        # The window holds at most free_count entries, so it ends inside the
+        # queue: at least free_count live entries lie at or after h.
+        window = self.free_count // _WINDOW_SHARE + 1
         rng = self.rng
-        last_out = self.last_out
-        view = self.view
-        draws = self.tournament_size
+        has_edge = self.view.has_edge
         for _attempt in range(16):
-            n_free = len(free_list)
-            best = free_list[rng.randrange(n_free)]
-            bo = last_out[best]
-            for _ in range(draws - 1):
-                u = free_list[rng.randrange(n_free)]
-                if last_out[u] < bo:
-                    best = u
-                    bo = last_out[u]
+            i = h + int(rng.random() * window)
+            v = age[i]
+            if pos[v] != i:
+                v = age[h]
             for b in batch:
-                if view.has_edge(best, b):
+                if has_edge(v, b):
                     break
             else:
-                return best
+                return v
         return None
+
+    def _compact(self) -> None:
+        """Drop the dead entries of the age queue, keeping live ones in order."""
+        pos = self._age_pos
+        live = [v for i, v in enumerate(self._age) if pos[v] == i]
+        for i, v in enumerate(live):
+            pos[v] = i
+        self._age = live
+        self._age_head = 0
 
     def perturb(self) -> set[int]:
         """Force one or more free vertices into the solution, evicting their
@@ -303,7 +340,7 @@ class SolutionState:
         capped; forced vertices within a batch are pairwise non-adjacent.
         Returns the forced set; no-op when no free vertex exists.
         """
-        if not self.free_list:
+        if not self.free_count:
             return set()
         rng = self.rng
         c = 1
@@ -311,9 +348,9 @@ class SolutionState:
             c += 1
         forced: list[int] = []
         for _ in range(c):
-            if not self.free_list:
+            if not self.free_count:
                 break
-            v = self._tournament_pick(forced)
+            v = self._age_pick(forced)
             if v is None:
                 break
             self._force_insert(v)
@@ -344,14 +381,25 @@ class SolutionState:
                 raise AssertionError(f"tight[{v}]={self.tight[v]} != recount {t}")
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
-        if sorted(self.free_list) != [v for v in self.view.vertices if not in_sol[v]]:
-            raise AssertionError("free list out of sync")
+        free = [v for v in self.view.vertices if not in_sol[v]]
+        if self.free_count != len(free):
+            raise AssertionError(f"free_count {self.free_count} != recount {len(free)}")
+        # Exactly one live entry per free vertex, none before the head, and
+        # live entries in nondecreasing age.
+        age, pos = self._age, self._age_pos
+        live = [v for i, v in enumerate(age) if pos[v] == i]
+        if any(pos[v] == i for i, v in enumerate(age[: self._age_head])):
+            raise AssertionError("live age-queue entry before the head")
+        if sorted(live) != free:
+            raise AssertionError("age queue out of sync with the free vertices")
+        last_out = self.last_out
+        if any(last_out[u] > last_out[w] for u, w in zip(live, live[1:])):
+            raise AssertionError("age queue out of age order")
 
 
 def greedy_init(
     source: WorkingGraph | LiveView,
     rng: random.Random | None = None,
-    tournament_size: int = 64,
     force_cap: int = 32,
 ) -> SolutionState:
     """Build a maximal solution by repeatedly taking a minimum-degree vertex
@@ -359,10 +407,7 @@ def greedy_init(
     the lowest id."""
     view = source if isinstance(source, LiveView) else LiveView.from_working(source)
     state = SolutionState(
-        view,
-        rng if rng is not None else random.Random(0),
-        tournament_size=tournament_size,
-        force_cap=force_cap,
+        view, rng if rng is not None else random.Random(0), force_cap=force_cap
     )
     adj = view.adj
     deg = [0] * view.universe
@@ -415,11 +460,12 @@ class BestTracker:
 def arw_block(state: SolutionState, m: int) -> BestTracker:
     """Run m iterations of (perturb, exhaust swaps) and report the best
     solution observed, the input included. Tracks the largest per-iteration
-    touch count in state.max_iter_touches."""
+    touch count in state.max_iter_touches. The full swap rescan at the start
+    runs only while the state is not yet known to be swap-free."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
     if m > 0 and state.size < len(state.view.vertices):
-        state.exhaust_swaps(seed_all=True)
+        state.exhaust_swaps(seed_all=not state.swap_free)
         if state.size > best_size:
             best_mask = bytes(state.in_sol)
             best_size = state.size

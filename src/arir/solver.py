@@ -49,7 +49,6 @@ class RunConfig:
     seed: int = 1
     max_blocks: int | None = None
     target_size: int | None = None
-    tournament_size: int = 64
     force_cap: int = 32
 
     def validated(self) -> "RunConfig":
@@ -183,12 +182,7 @@ def restart_round(rs: RoundState, config: RunConfig, rng: random.Random) -> None
     if config.variant == "arir3":
         rs.S_prime, rs.round_log = run_to_fixpoint(rs.working, tier="simple")
     view = LiveView.from_working(rs.working)
-    rs.state = greedy_init(
-        view,
-        rng,
-        tournament_size=config.tournament_size,
-        force_cap=config.force_cap,
-    )
+    rs.state = greedy_init(view, rng, force_cap=config.force_cap)
     rs.current_best = rs.state.solution_set()
     rs.rir.reset()
     composite = _lift_round(rs.current_best, rs)
@@ -241,12 +235,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     GK = kern.kernel
     adaptive = AdaptiveState(n=cfg.n)
     working = WorkingGraph(GK)
-    state = greedy_init(
-        LiveView.from_working(working),
-        rng,
-        tournament_size=cfg.tournament_size,
-        force_cap=cfg.force_cap,
-    )
+    state = greedy_init(LiveView.from_working(working), rng, force_cap=cfg.force_cap)
     rs = RoundState(
         frozen_kernel=GK, working=working, rir=RirState(), state=state
     )

@@ -100,7 +100,8 @@ class ScriptedRng:
     """random.Random look-alike that replays scripted draws.
 
     .random() pops from `uniforms` (falling back to 0.99), .randrange() pops
-    from `indices` reduced modulo the bound (falling back to 0).
+    from `indices` reduced modulo the bound (falling back to 0), and
+    .shuffle() leaves the order as it is.
     """
 
     def __init__(self, uniforms=(), indices=()):
@@ -114,3 +115,6 @@ class ScriptedRng:
         if self.indices:
             return self.indices.pop(0) % bound
         return 0
+
+    def shuffle(self, seq: list) -> None:
+        pass

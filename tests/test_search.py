@@ -30,6 +30,16 @@ def manual_state(g, solution, rng=None):
     return state
 
 
+def random_maximal(g, rng):
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    sol = set()
+    for v in order:
+        if all(u not in sol for u in g.adjacency[v]):
+            sol.add(v)
+    return sol
+
+
 def test_greedy_star_picks_leaves():
     state = fresh_state(star(4))
     assert state.solution_set() == {1, 2, 3, 4}
@@ -105,12 +115,7 @@ def test_swap_sound_and_complete_small():
         n = rng.randint(4, 20)
         g = gnp(n, rng.uniform(0.1, 0.5), rng)
         # A random maximal solution, not just the greedy one.
-        order = list(range(n))
-        rng.shuffle(order)
-        sol = set()
-        for v in order:
-            if all(u not in sol for u in g.adjacency[v]):
-                sol.add(v)
+        sol = random_maximal(g, rng)
         state = manual_state(g, sol)
         found = find_one_two_swap(state)
         all_swaps = enumerate_swaps(g, sol)
@@ -234,3 +239,67 @@ def test_exhaustion_leaves_no_swap():
             state.perturb()
             state.exhaust_swaps()
             assert find_one_two_swap(state) is None
+
+
+def test_age_queue_compacts_and_stays_in_sync():
+    g = gnp(60, 0.1, random.Random(14))
+    state = fresh_state(g, seed=3)
+    compacted = False
+    for _ in range(80):
+        before = len(state._age)
+        arw_block(state, 100)
+        # Between compactions the queue only grows.
+        compacted = compacted or len(state._age) < before
+        state.audit()
+    assert compacted
+
+
+def test_perturb_picks_from_the_oldest_window():
+    rng = random.Random(19)
+    for trial in range(30):
+        g = gnp(rng.randint(20, 200), rng.uniform(0.01, 0.2), rng)
+        state = fresh_state(g, trial)
+        for _ in range(40):
+            state.iteration += 1
+            free = [v for v in state.view.vertices if not state.in_sol[v]]
+            forced = state.perturb()
+            state.exhaust_swaps()
+            assert forced <= set(free)
+        # With one forced vertex per call, the pick comes from the window of
+        # the state just before the call.
+        state.force_cap = 1
+        for _ in range(40):
+            state.iteration += 1
+            last_out = list(state.last_out)
+            free = [v for v in state.view.vertices if not state.in_sol[v]]
+            ages = sorted(last_out[v] for v in free)
+            forced = state.perturb()
+            state.exhaust_swaps()
+            assert len(forced) == 1
+            assert last_out[next(iter(forced))] <= ages[len(ages) // 32]
+        state.audit()
+
+
+def test_arw_block_leaves_no_swap():
+    rng = random.Random(23)
+    for trial in range(30):
+        g = gnp(rng.randint(8, 60), rng.uniform(0.05, 0.4), rng)
+        state = manual_state(g, random_maximal(g, rng), rng=random.Random(trial))
+        for m in (1, 1, 5, 20):
+            arw_block(state, m)
+            assert find_one_two_swap(state) is None
+
+
+def test_skipped_rescan_matches_full_rescan():
+    rng = random.Random(29)
+    for trial in range(20):
+        g = gnp(rng.randint(10, 80), rng.uniform(0.03, 0.3), rng)
+        states = [fresh_state(g, trial) for _ in range(2)]
+        for _ in range(4):
+            trackers = []
+            for state, rescan in zip(states, (False, True)):
+                if rescan:
+                    state.swap_free = False
+                trackers.append(arw_block(state, 25))
+            assert trackers[0] == trackers[1]
+            assert states[0].solution_set() == states[1].solution_set()
