@@ -1,7 +1,7 @@
 """Maximum independent set solving: exact kernelization, perturbation-and-swap
 local search with adaptive restarts, and intersection-based inexact reduction."""
 
-from .graph import ContractError, FoldRecord, StaticGraph, WorkingGraph, build_graph
+from .graph import ContractError, StaticGraph, WorkingGraph, build_graph
 from .io import (
     ParseError,
     read_edgelist,
@@ -14,87 +14,34 @@ from .io import (
 )
 from .oracle import OracleResult, exact_mis
 from .reductions import (
-    ADVANCED_RULES,
-    LIGHT_RULES,
-    SIMPLE_RULES,
     KernelResult,
     ReductionLog,
     extend_solution,
     kernelize,
-    rule_domination,
-    rule_fold2,
-    rule_one_vertex,
-    rule_quadrilateral,
-    rule_triangle,
-    rule_twin_edge,
-    rule_zero_vertex,
     run_to_fixpoint,
 )
-from .search import (
-    BestTracker,
-    LiveView,
-    SolutionState,
-    arw_block,
-    find_one_two_swap,
-    greedy_init,
-)
-from .solver import (
-    AdaptiveState,
-    RirState,
-    RoundState,
-    RunConfig,
-    RunResult,
-    adaptive_test,
-    record_solution,
-    restart_round,
-    rir_reduce,
-    run,
-)
+from .solver import RunConfig, RunResult, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADVANCED_RULES",
-    "AdaptiveState",
-    "BestTracker",
     "ContractError",
-    "FoldRecord",
     "KernelResult",
-    "LIGHT_RULES",
-    "LiveView",
     "OracleResult",
     "ParseError",
     "ReductionLog",
-    "RirState",
-    "RoundState",
     "RunConfig",
     "RunResult",
-    "SIMPLE_RULES",
-    "SolutionState",
     "StaticGraph",
     "WorkingGraph",
-    "adaptive_test",
-    "arw_block",
     "build_graph",
     "exact_mis",
     "extend_solution",
-    "find_one_two_swap",
-    "greedy_init",
     "kernelize",
     "read_edgelist",
     "read_graph",
     "read_metis",
     "read_solution",
-    "record_solution",
-    "restart_round",
-    "rir_reduce",
-    "rule_domination",
-    "rule_fold2",
-    "rule_one_vertex",
-    "rule_quadrilateral",
-    "rule_triangle",
-    "rule_twin_edge",
-    "rule_zero_vertex",
     "run",
     "run_to_fixpoint",
     "write_edgelist",

@@ -181,11 +181,7 @@ def cmd_kernelize(args) -> int:
     stem = os.path.splitext(args.input)[0]
     kernel_path = args.kernel_out or f"{stem}.kernel.graph"
     log_path = args.log_out or f"{stem}.kernel.log"
-    if result.kernel.vertex_count > 0:
-        write_metis(result.kernel, kernel_path)
-    else:
-        with open(kernel_path, "w", encoding="utf-8") as fh:
-            fh.write("0 0\n")
+    write_metis(result.kernel, kernel_path)
     with open(log_path, "w", encoding="utf-8") as fh:
         fh.write(f"# fixed={result.fixed_count} folds={result.fold_count}\n")
         for line in result.log.to_lines():

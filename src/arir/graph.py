@@ -140,18 +140,6 @@ class WorkingGraph:
         # Instrumentation: elementary steps spent in rule-applicability checks.
         self.check_steps = 0
 
-    @property
-    def universe_size(self) -> int:
-        return len(self.alive)
-
-    @property
-    def extra_vertices(self) -> list[list[int]]:
-        return self.fold_adj
-
-    def reset_from(self, base: StaticGraph) -> None:
-        """Reset to a fresh all-alive copy of `base`, clearing fold extensions."""
-        self.__init__(base)
-
     def _adj_parts(self, v: int):
         nbase = self.base.vertex_count
         if v < nbase:
@@ -189,16 +177,13 @@ class WorkingGraph:
                     live_degree[u] -= 1
                     touched.append(u)
 
-    def delete_closed_neighborhood(self, v: int) -> set[int]:
-        """Delete v and all its alive neighbors; return the removed set."""
+    def delete_closed_neighborhood(self, v: int) -> None:
+        """Delete v and all its alive neighbors."""
         if not self.alive[v]:
             raise ContractError(f"vertex {v} is dead")
-        removed = self.alive_neighbors(v)
-        for u in removed:
+        for u in self.alive_neighbors(v):
             self.kill(u)
         self.kill(v)
-        removed.append(v)
-        return set(removed)
 
     def fold_degree2(self, u: int) -> FoldRecord:
         """Contract degree-2 vertex u and its two non-adjacent neighbors into
@@ -237,19 +222,18 @@ class WorkingGraph:
     def alive_vertices(self) -> list[int]:
         return [v for v in range(len(self.alive)) if self.alive[v]]
 
-    def live_edge_count(self) -> int:
-        return sum(self.live_degree[v] for v in self.alive_vertices()) // 2
-
     def freeze(self) -> tuple[StaticGraph, list[int]]:
         """Compact the alive subgraph into a fresh StaticGraph.
 
         Returns the graph and the map from new ids to working-universe ids.
+        The map is ascending and alive_neighbors() is sorted, so each remapped
+        adjacency list is already sorted.
         """
         vertices = self.alive_vertices()
-        remap = {v: i for i, v in enumerate(vertices)}
+        remap = [0] * len(self.alive)
+        for i, v in enumerate(vertices):
+            remap[v] = i
         adjacency = [[remap[u] for u in self.alive_neighbors(v)] for v in vertices]
-        for a in adjacency:
-            a.sort()
         return StaticGraph(adjacency), vertices
 
     def audit(self) -> None:

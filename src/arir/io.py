@@ -64,8 +64,8 @@ def read_metis(path: str) -> StaticGraph:
     m = _parse_id(header[1], f"{path} header")
     if len(header) >= 3 and header[2].strip("0") != "":
         raise ParseError(f"{path}: weighted metis format {header[2]} unsupported")
-    if n <= 0:
-        raise ParseError(f"{path}: empty graph undefined")
+    if n < 0:
+        raise ParseError(f"{path}: negative vertex count {n}")
     edges = []
     for i in range(n):
         if i + 1 >= len(lines):
@@ -75,7 +75,8 @@ def read_metis(path: str) -> StaticGraph:
             if not 1 <= u <= n:
                 raise ParseError(f"{path} line {i + 2}: neighbor id {u} out of range")
             edges.append((i, u - 1))
-    graph = build_graph(edges, vertex_count_hint=n)
+    # build_graph rejects an empty graph; a fully reduced kernel is one.
+    graph = build_graph(edges, vertex_count_hint=n) if n else StaticGraph([])
     if graph.edge_count != m:
         log.info(
             "%s: header claims %d edges, adjacency holds %d; using recount",

@@ -25,10 +25,9 @@ RULESETS = {"simple": SIMPLE_RULES, "advanced": ADVANCED_RULES, "light": LIGHT_R
 
 @dataclass(frozen=True, slots=True)
 class FixedInSolution:
-    """Vertex forced into the solution; its deleted neighbors ride along."""
+    """Vertex forced into the solution."""
 
     vertex: int
-    removed_neighbors: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +56,8 @@ class ReductionLog:
         # subgraph was frozen and renumbered.
         self.kernel_map: list[int] | None = None
 
-    def add_fixed(self, vertex: int, removed) -> None:
-        self.records.append(FixedInSolution(vertex, tuple(removed)))
+    def add_fixed(self, vertex: int) -> None:
+        self.records.append(FixedInSolution(vertex))
         self.fixed_count += 1
 
     def add_excluded(self, vertex: int) -> None:
@@ -97,7 +96,7 @@ class ReductionLog:
             if tag == "K":
                 kmap.append(int(toks[2]))
             elif tag == "F":
-                log.add_fixed(int(toks[1]), ())
+                log.add_fixed(int(toks[1]))
             elif tag == "X":
                 log.add_excluded(int(toks[1]))
             elif tag == "D":
@@ -129,7 +128,7 @@ def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog | None = None) -
     if not W.alive[v] or W.live_degree[v] != 0:
         return False
     if log is not None:
-        log.add_fixed(v, ())
+        log.add_fixed(v)
     W.kill(v)
     return True
 
@@ -138,10 +137,9 @@ def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog | None = None) ->
     """Fix a degree-1 vertex and delete its closed neighborhood."""
     if not W.alive[v] or W.live_degree[v] != 1:
         return False
-    removed = W.delete_closed_neighborhood(v)
-    removed.discard(v)
+    W.delete_closed_neighborhood(v)
     if log is not None:
-        log.add_fixed(v, sorted(removed))
+        log.add_fixed(v)
     return True
 
 
@@ -154,7 +152,7 @@ def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> b
     if not W.adjacent(v, w):
         return False
     if log is not None:
-        log.add_fixed(u, (v, w))
+        log.add_fixed(u)
     W.delete_closed_neighborhood(u)
     return True
 
@@ -179,8 +177,8 @@ def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog | None = None)
     if partner < 0:
         return False
     if log is not None:
-        log.add_fixed(u, (v1, v2) if v1 < v2 else (v2, v1))
-        log.add_fixed(partner, ())
+        log.add_fixed(u)
+        log.add_fixed(partner)
     W.delete_closed_neighborhood(u)
     W.kill(partner)
     return True
@@ -282,8 +280,8 @@ def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> 
     if twin < 0:
         return False
     if log is not None:
-        log.add_fixed(u, (a, b, c))
-        log.add_fixed(twin, ())
+        log.add_fixed(u)
+        log.add_fixed(twin)
     W.delete_closed_neighborhood(u)
     W.kill(twin)
     return True

@@ -10,7 +10,6 @@ neighbors join.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -18,39 +17,18 @@ from heapq import heapify, heappop, heappush
 from .graph import StaticGraph, WorkingGraph
 
 
-class LiveView:
-    """Frozen adjacency snapshot of the alive subgraph of a working graph.
+class LiveView(StaticGraph):
+    """Compact snapshot of the alive subgraph of a working graph: vertex i of
+    the snapshot is working vertex ids[i], and ids is ascending."""
 
-    Arrays are indexed by working-universe vertex id; dead vertices keep an
-    empty adjacency and are absent from `vertices`.
-    """
-
-    __slots__ = ("adj", "vertices", "edge_count", "universe")
-
-    def __init__(self, adj: list[list[int]], vertices: list[int]):
-        self.adj = adj
-        self.vertices = vertices
-        self.universe = len(adj)
-        self.edge_count = sum(len(adj[v]) for v in vertices) // 2
+    __slots__ = ("ids",)
 
     @classmethod
     def from_working(cls, W: WorkingGraph) -> "LiveView":
-        adj: list[list[int]] = [[] for _ in range(W.universe_size)]
-        vertices = []
-        for v in range(W.universe_size):
-            if W.alive[v]:
-                vertices.append(v)
-                adj[v] = W.alive_neighbors(v)
-        return cls(adj, vertices)
-
-    @classmethod
-    def from_static(cls, G: StaticGraph) -> "LiveView":
-        return cls([list(a) for a in G.adjacency], list(range(G.vertex_count)))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
+        graph, ids = W.freeze()
+        view = cls(graph.adjacency)
+        view.ids = ids
+        return view
 
 
 # A perturbation picks uniformly among the oldest free_count // _WINDOW_SHARE
@@ -60,13 +38,15 @@ _WINDOW_SHARE = 32
 # The age queue is compacted once its dead prefix is over half of it and
 # longer than this.
 _COMPACT_MIN = 4096
+# Most vertices one perturbation forces.
+_FORCE_CAP = 32
 
 
 class SolutionState:
     """Independent set plus the counters the search needs: per-vertex
     tightness (number of solution neighbors), last-removal timestamps, an
-    age queue of free vertices, and a seeded RNG. Single-owner,
-    single-threaded.
+    age queue of free vertices, and a seeded RNG. Vertices are the view's
+    compact ids. Single-owner, single-threaded.
 
     The age queue is an append-only list with lazy deletion. A vertex is
     appended when it leaves the solution, right after its last_out is
@@ -103,8 +83,8 @@ class SolutionState:
         "_stamp",
     )
 
-    def __init__(self, view: LiveView, rng: random.Random, force_cap: int = 32):
-        n = view.universe
+    def __init__(self, view: LiveView, rng: random.Random):
+        n = view.vertex_count
         self.view = view
         self.rng = rng
         self.in_sol = bytearray(n)
@@ -114,7 +94,7 @@ class SolutionState:
         self.iteration = 1
         # Every vertex starts free with age 0; the shuffle keeps the first
         # picks from favouring low ids.
-        age = list(view.vertices)
+        age = list(range(n))
         rng.shuffle(age)
         self._age = age
         self._age_pos = [-1] * n
@@ -125,7 +105,7 @@ class SolutionState:
         self.swap_free = False
         self.touches = 0
         self.max_iter_touches = 0
-        self.force_cap = force_cap
+        self.force_cap = _FORCE_CAP
         self._zero_heap: list[int] = []
         self._one_buf: list[int] = []
         self._queue: deque[int] = deque()
@@ -134,15 +114,16 @@ class SolutionState:
         self._stamp = 0
 
     def solution_set(self) -> set[int]:
+        """The solution in working-graph ids."""
         in_sol = self.in_sol
-        return {v for v in self.view.vertices if in_sol[v]}
+        return {w for v, w in enumerate(self.view.ids) if in_sol[v]}
 
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
         self.size += 1
         self._age_pos[v] = -1
         self.free_count -= 1
-        adj = self.view.adj[v]
+        adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
         one_buf = self._one_buf
@@ -160,7 +141,7 @@ class SolutionState:
         self._age_pos[v] = len(age)
         age.append(v)
         self.free_count += 1
-        adj = self.view.adj[v]
+        adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
         zero_heap = self._zero_heap
@@ -183,7 +164,9 @@ class SolutionState:
             in_sol = self.in_sol
             tight = self.tight
             self._zero_heap = [
-                v for v in self.view.vertices if not in_sol[v] and tight[v] == 0
+                v
+                for v in range(self.view.vertex_count)
+                if not in_sol[v] and tight[v] == 0
             ]
             heapify(self._zero_heap)
         zero_heap = self._zero_heap
@@ -207,7 +190,7 @@ class SolutionState:
         buf = self._one_buf
         in_sol = self.in_sol
         tight = self.tight
-        adj = self.view.adj
+        adj = self.view.adjacency
         while buf:
             t = buf.pop()
             if in_sol[t] or tight[t] != 1:
@@ -226,8 +209,8 @@ class SolutionState:
         sole solution neighbor is necessarily x). Costs O(d(x) + sum of
         bucket degrees), which keeps a full sweep within O(edge count).
         """
-        view = self.view
-        adj_x = view.adj[x]
+        adj = self.view.adjacency
+        adj_x = adj[x]
         tight = self.tight
         self.touches += len(adj_x)
         bucket = [u for u in adj_x if tight[u] == 1]
@@ -239,7 +222,6 @@ class SolutionState:
         for u in bucket:
             mark[u] = s
         need = len(bucket) - 1
-        adj = view.adj
         for u in bucket:
             adj_u = adj[u]
             self.touches += len(adj_u)
@@ -265,7 +247,7 @@ class SolutionState:
         afterwards the queue is fed incrementally by tightness transitions.
         """
         if seed_all:
-            for v in self.view.vertices:
+            for v in range(self.view.vertex_count):
                 if self.in_sol[v]:
                     self._enqueue(v)
         self._drain_one_buf()
@@ -359,7 +341,7 @@ class SolutionState:
         return set(forced)
 
     def _force_insert(self, v: int) -> None:
-        adj = self.view.adj[v]
+        adj = self.view.adjacency[v]
         self.touches += len(adj)
         in_sol = self.in_sol
         evicted = [w for w in adj if in_sol[w]]
@@ -370,9 +352,10 @@ class SolutionState:
     def audit(self) -> None:
         """Recompute tightness and independence from scratch; raise on breakage."""
         in_sol = self.in_sol
+        adj = self.view.adjacency
         size = 0
-        for v in self.view.vertices:
-            t = sum(1 for u in self.view.adj[v] if in_sol[u])
+        for v in range(self.view.vertex_count):
+            t = sum(1 for u in adj[v] if in_sol[u])
             if in_sol[v]:
                 size += 1
                 if t != 0:
@@ -381,7 +364,7 @@ class SolutionState:
                 raise AssertionError(f"tight[{v}]={self.tight[v]} != recount {t}")
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
-        free = [v for v in self.view.vertices if not in_sol[v]]
+        free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
         if self.free_count != len(free):
             raise AssertionError(f"free_count {self.free_count} != recount {len(free)}")
         # Exactly one live entry per free vertex, none before the head, and
@@ -397,25 +380,16 @@ class SolutionState:
             raise AssertionError("age queue out of age order")
 
 
-def greedy_init(
-    source: WorkingGraph | LiveView,
-    rng: random.Random | None = None,
-    force_cap: int = 32,
-) -> SolutionState:
+def greedy_init(view: LiveView, rng: random.Random | None = None) -> SolutionState:
     """Build a maximal solution by repeatedly taking a minimum-degree vertex
     and deleting its closed neighborhood (on scratch counters); ties go to
     the lowest id."""
-    view = source if isinstance(source, LiveView) else LiveView.from_working(source)
-    state = SolutionState(
-        view, rng if rng is not None else random.Random(0), force_cap=force_cap
-    )
-    adj = view.adj
-    deg = [0] * view.universe
-    status = bytearray(view.universe)  # 0 undecided, 1 selected, 2 deleted
-    heap = []
-    for v in view.vertices:
-        deg[v] = len(adj[v])
-        heap.append((deg[v], v))
+    state = SolutionState(view, rng if rng is not None else random.Random(0))
+    adj = view.adjacency
+    n = view.vertex_count
+    deg = [len(a) for a in adj]
+    status = bytearray(n)  # 0 undecided, 1 selected, 2 deleted
+    heap = [(d, v) for v, d in enumerate(deg)]
     heapify(heap)
     while heap:
         d, v = heappop(heap)
@@ -429,7 +403,7 @@ def greedy_init(
                     if status[t] == 0:
                         deg[t] -= 1
                         heappush(heap, (deg[t], t))
-    for v in view.vertices:
+    for v in range(n):
         if status[v] == 1:
             state._insert(v)
     state._zero_heap.clear()
@@ -439,9 +413,10 @@ def greedy_init(
 
 def find_one_two_swap(state: SolutionState) -> tuple[int, int, int] | None:
     """Full-sweep search: the first solution vertex (ascending id) owning two
-    non-adjacent 1-tight neighbors, or None when no swap exists."""
+    non-adjacent 1-tight neighbors, or None when no swap exists. Ids are the
+    view's compact ids."""
     in_sol = state.in_sol
-    for x in state.view.vertices:
+    for x in range(state.view.vertex_count):
         if in_sol[x]:
             pair = state._find_pair(x)
             if pair is not None:
@@ -451,7 +426,8 @@ def find_one_two_swap(state: SolutionState) -> tuple[int, int, int] | None:
 
 @dataclass(slots=True)
 class BestTracker:
-    """Best solution observed during a search block; never below the input."""
+    """Best solution observed during a search block, in working-graph ids;
+    never below the input."""
 
     best_set: set[int]
     best_size: int
@@ -464,7 +440,7 @@ def arw_block(state: SolutionState, m: int) -> BestTracker:
     runs only while the state is not yet known to be swap-free."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
-    if m > 0 and state.size < len(state.view.vertices):
+    if m > 0 and state.size < state.view.vertex_count:
         state.exhaust_swaps(seed_all=not state.swap_free)
         if state.size > best_size:
             best_mask = bytes(state.in_sol)
@@ -482,5 +458,5 @@ def arw_block(state: SolutionState, m: int) -> BestTracker:
                 best_mask = bytes(state.in_sol)
                 best_size = state.size
         state.max_iter_touches = max_iter
-    best = {v for v in state.view.vertices if best_mask[v]}
+    best = {w for v, w in enumerate(state.view.ids) if best_mask[v]}
     return BestTracker(best_set=best, best_size=best_size)

@@ -49,7 +49,6 @@ class RunConfig:
     seed: int = 1
     max_blocks: int | None = None
     target_size: int | None = None
-    force_cap: int = 32
 
     def validated(self) -> "RunConfig":
         if self.variant not in VARIANTS:
@@ -145,7 +144,6 @@ class RoundState:
     rir: RirState
     state: SolutionState
     S: set[int] = field(default_factory=set)
-    S_prime: set[int] = field(default_factory=set)
     round_log: ReductionLog = field(default_factory=ReductionLog)
     current_best: set[int] = field(default_factory=set)
     global_best: set[int] = field(default_factory=set)
@@ -178,11 +176,9 @@ def restart_round(rs: RoundState, config: RunConfig, rng: random.Random) -> None
     tier on the remainder, and reinitialize the search greedily."""
     rs.S, rs.working = rir_reduce(rs.frozen_kernel, rs.rir)
     rs.round_log = ReductionLog()
-    rs.S_prime = set()
     if config.variant == "arir3":
-        rs.S_prime, rs.round_log = run_to_fixpoint(rs.working, tier="simple")
-    view = LiveView.from_working(rs.working)
-    rs.state = greedy_init(view, rng, force_cap=config.force_cap)
+        _, rs.round_log = run_to_fixpoint(rs.working, tier="simple")
+    rs.state = greedy_init(LiveView.from_working(rs.working), rng)
     rs.current_best = rs.state.solution_set()
     rs.rir.reset()
     composite = _lift_round(rs.current_best, rs)
@@ -235,7 +231,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     GK = kern.kernel
     adaptive = AdaptiveState(n=cfg.n)
     working = WorkingGraph(GK)
-    state = greedy_init(LiveView.from_working(working), rng, force_cap=cfg.force_cap)
+    state = greedy_init(LiveView.from_working(working), rng)
     rs = RoundState(
         frozen_kernel=GK, working=working, rir=RirState(), state=state
     )

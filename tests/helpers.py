@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from arir import StaticGraph, build_graph
+from arir import StaticGraph, WorkingGraph, build_graph
+from arir.search import LiveView
 
 
 def gnp(n: int, p: float, rng: random.Random) -> StaticGraph:
@@ -38,6 +39,11 @@ def petersen() -> StaticGraph:
 def random_tree(n: int, rng: random.Random) -> StaticGraph:
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return build_graph(edges, vertex_count_hint=n)
+
+
+def view_of(g: StaticGraph) -> LiveView:
+    """Search snapshot of a whole graph; its compact ids are g's ids."""
+    return LiveView.from_working(WorkingGraph(g))
 
 
 def is_independent(g: StaticGraph, sol: set[int]) -> bool:

@@ -11,21 +11,24 @@ import time
 import pytest
 
 from arir import (
-    AdaptiveState,
     RunConfig,
     WorkingGraph,
-    adaptive_test,
     exact_mis,
     extend_solution,
     kernelize,
     read_graph,
-    record_solution,
-    restart_round,
     run,
 )
 from arir.search import LiveView, arw_block, greedy_init
-from arir.solver import RirState, RoundState
-from helpers import ScriptedRng, gnp, is_independent, is_maximal
+from arir.solver import (
+    AdaptiveState,
+    RirState,
+    RoundState,
+    adaptive_test,
+    record_solution,
+    restart_round,
+)
+from helpers import ScriptedRng, gnp, is_independent, is_maximal, view_of
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -201,7 +204,7 @@ def test_criterion_6_arw_block_contract():
         g = gnp(n, p, rng)
         if g.edge_count < 80:
             continue
-        state = greedy_init(LiveView.from_static(g), random.Random(blocks))
+        state = greedy_init(view_of(g), random.Random(blocks))
         for _ in range(4):
             before = state.size
             tracker = arw_block(state, 10)

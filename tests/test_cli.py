@@ -1,8 +1,9 @@
 import json
 
+from arir import ReductionLog, extend_solution
 from arir.cli import main
 from arir.io import write_metis, write_solution
-from helpers import complete, cycle, path, petersen, random_tree
+from helpers import complete, cycle, is_independent, path, petersen, random_tree
 
 import random
 
@@ -118,6 +119,20 @@ def test_kernelize_tree(tmp_path, capsys):
     assert tokens[0] == "kernel" and tokens[1] == "0"
     assert (tmp_path / "tree.kernel.graph").exists()
     assert (tmp_path / "tree.kernel.log").exists()
+
+
+def test_empty_kernel_round_trip(tmp_path, capsys):
+    g = path(7)
+    graph_path = metis_file(tmp_path, g, "p7.graph")
+    assert main(["kernelize", "--input", graph_path]) == 0
+    assert capsys.readouterr().out.split() == ["kernel", "0", "0", "4", "0"]
+    kernel_path = str(tmp_path / "p7.kernel.graph")
+    assert main(["solve", "--input", kernel_path, "--max-blocks", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_size"] == 0
+    with open(tmp_path / "p7.kernel.log", encoding="utf-8") as fh:
+        lifted = extend_solution(set(), ReductionLog.from_lines(fh))
+    assert len(lifted) == 4
+    assert is_independent(g, lifted)
 
 
 def test_kernelize_k4_untouched(tmp_path, capsys):

@@ -44,15 +44,16 @@ def test_static_audit_random():
 
 def test_delete_closed_neighborhood_c5():
     w = WorkingGraph(cycle(5))
-    removed = w.delete_closed_neighborhood(0)
-    assert removed == {0, 1, 4}
+    w.delete_closed_neighborhood(0)
+    assert [v for v in range(5) if not w.alive[v]] == [0, 1, 4]
     assert w.alive_vertices() == [2, 3]
     assert w.live_degree[2] == 1 and w.live_degree[3] == 1
 
 
 def test_delete_closed_neighborhood_star():
     w = WorkingGraph(star(4))
-    assert w.delete_closed_neighborhood(0) == {0, 1, 2, 3, 4}
+    w.delete_closed_neighborhood(0)
+    assert not any(w.alive)
     assert w.alive_count == 0
 
 
@@ -119,23 +120,23 @@ def test_fold_ids_contiguous_past_base():
     assert first == 7 and second == 8
 
 
-def test_reset_from_restores_everything():
+def test_fresh_working_graph_ignores_earlier_deletions():
     g = cycle(5)
+    WorkingGraph(g).delete_closed_neighborhood(0)
     w = WorkingGraph(g)
-    w.delete_closed_neighborhood(0)
-    w.reset_from(g)
     assert w.alive_count == 5
     assert w.live_degree == [2, 2, 2, 2, 2]
     assert all(w.live_degree[v] == g.degree(v) for v in range(5))
 
 
-def test_reset_clears_fold_extensions():
-    w = WorkingGraph(cycle(5))
-    w.fold_degree2(0)
-    assert w.extra_vertices
-    w.reset_from(cycle(5))
-    assert not w.extra_vertices
-    assert w.universe_size == 5
+def test_fresh_working_graph_has_no_fold_extensions():
+    g = cycle(5)
+    folded = WorkingGraph(g)
+    folded.fold_degree2(0)
+    assert folded.fold_adj
+    w = WorkingGraph(g)
+    assert not w.fold_adj
+    assert len(w.alive) == 5
 
 
 def test_working_audit_under_mixed_ops():

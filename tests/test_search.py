@@ -1,7 +1,14 @@
 import random
 
-from arir import build_graph, exact_mis, find_one_two_swap, greedy_init
-from arir.search import BestTracker, LiveView, SolutionState, arw_block
+from arir import WorkingGraph, build_graph, exact_mis
+from arir.search import (
+    BestTracker,
+    LiveView,
+    SolutionState,
+    arw_block,
+    find_one_two_swap,
+    greedy_init,
+)
 from helpers import (
     ScriptedRng,
     brute_alpha,
@@ -14,15 +21,16 @@ from helpers import (
     path,
     petersen,
     star,
+    view_of,
 )
 
 
 def fresh_state(g, seed=0):
-    return greedy_init(LiveView.from_static(g), random.Random(seed))
+    return greedy_init(view_of(g), random.Random(seed))
 
 
 def manual_state(g, solution, rng=None):
-    state = SolutionState(LiveView.from_static(g), rng or random.Random(0))
+    state = SolutionState(view_of(g), rng or random.Random(0))
     for v in sorted(solution):
         state._insert(v)
     state._zero_heap.clear()
@@ -191,7 +199,7 @@ def test_arw_block_m0_identity():
 def test_arw_block_petersen_reaches_alpha():
     g = petersen()
     assert exact_mis(g).alpha == 4
-    state = greedy_init(LiveView.from_static(g), random.Random(1))
+    state = greedy_init(view_of(g), random.Random(1))
     tracker = arw_block(state, 10_000)
     assert tracker.best_size == 4
     assert is_independent(g, tracker.best_set)
@@ -223,7 +231,7 @@ def test_arw_block_deterministic():
     g = gnp(40, 0.2, random.Random(3))
     trackers = []
     for _ in range(2):
-        state = greedy_init(LiveView.from_static(g), random.Random(9))
+        state = greedy_init(view_of(g), random.Random(9))
         trackers.append(arw_block(state, 200))
     assert trackers[0] == BestTracker(trackers[1].best_set, trackers[1].best_size)
 
@@ -261,7 +269,7 @@ def test_perturb_picks_from_the_oldest_window():
         state = fresh_state(g, trial)
         for _ in range(40):
             state.iteration += 1
-            free = [v for v in state.view.vertices if not state.in_sol[v]]
+            free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
             forced = state.perturb()
             state.exhaust_swaps()
             assert forced <= set(free)
@@ -271,7 +279,7 @@ def test_perturb_picks_from_the_oldest_window():
         for _ in range(40):
             state.iteration += 1
             last_out = list(state.last_out)
-            free = [v for v in state.view.vertices if not state.in_sol[v]]
+            free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
             ages = sorted(last_out[v] for v in free)
             forced = state.perturb()
             state.exhaust_swaps()
@@ -303,3 +311,36 @@ def test_skipped_rescan_matches_full_rescan():
                 trackers.append(arw_block(state, 25))
             assert trackers[0] == trackers[1]
             assert states[0].solution_set() == states[1].solution_set()
+
+
+def test_snapshot_matches_working_graph():
+    rng = random.Random(37)
+    for trial in range(40):
+        g = gnp(rng.randint(5, 40), rng.uniform(0.05, 0.3), rng)
+        w = WorkingGraph(g)
+        for _ in range(rng.randint(0, 12)):
+            alive = w.alive_vertices()
+            if not alive:
+                break
+            v = rng.choice(alive)
+            if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
+                w.fold_degree2(v)
+            else:
+                w.kill(v)
+        view = LiveView.from_working(w)
+        view.audit()
+        assert view.ids == w.alive_vertices()
+        for i in range(view.vertex_count):
+            assert [view.ids[u] for u in view.adjacency[i]] == w.alive_neighbors(
+                view.ids[i]
+            )
+        # Solutions leave the search in working-graph ids.
+        state = greedy_init(view, random.Random(trial))
+        tracker = arw_block(state, 5)
+        alive = w.alive_vertices()
+        for sol in (state.solution_set(), tracker.best_set):
+            assert sol <= set(alive)
+            assert all(u not in sol for v in sol for u in w.alive_neighbors(v))
+            assert all(
+                v in sol or any(u in sol for u in w.alive_neighbors(v)) for v in alive
+            )

@@ -2,19 +2,17 @@ import random
 
 import pytest
 
-from arir import (
+from arir import RunConfig, WorkingGraph, extend_solution, run
+from arir.search import LiveView, greedy_init
+from arir.solver import (
     AdaptiveState,
-    RunConfig,
-    WorkingGraph,
+    RirState,
+    RoundState,
     adaptive_test,
-    extend_solution,
     record_solution,
     restart_round,
     rir_reduce,
-    run,
 )
-from arir.search import LiveView, greedy_init
-from arir.solver import RirState, RoundState
 from helpers import (
     ScriptedRng,
     brute_alpha,
@@ -24,6 +22,7 @@ from helpers import (
     is_maximal,
     path,
     petersen,
+    view_of,
 )
 
 
@@ -115,7 +114,7 @@ def test_rir_reduce_composite_independent():
         g = gnp(40, 0.2, rng)
         rir = RirState()
         for _ in range(3):
-            state = greedy_init(LiveView.from_static(g), random.Random(trial * 7))
+            state = greedy_init(view_of(g), random.Random(trial * 7))
             state.perturb()
             record_solution(rir, state.solution_set())
         S, working = rir_reduce(g, rir)
@@ -133,12 +132,12 @@ def _round_state(g, variant, seed=1):
     return rs, rng
 
 
-def test_restart_round_arir2_keeps_s_prime_empty():
+def test_restart_round_arir2_runs_no_reductions():
     g = gnp(30, 0.2, random.Random(2))
     rs, rng = _round_state(g, "arir2")
     record_solution(rs.rir, rs.current_best)
     restart_round(rs, RunConfig(variant="arir2").validated(), rng)
-    assert rs.S_prime == set()
+    assert rs.round_log.fixed_count == 0
     assert len(rs.round_log) == 0
     assert rs.rir.recorded_count == 0
 
@@ -150,8 +149,8 @@ def test_restart_round_arir3_runs_simple_tier():
     restart_round(rs, RunConfig(variant="arir3").validated(), rng)
     # The simple tier empties a path entirely.
     assert rs.working.alive_count == 0
-    composite = rs.S | rs.S_prime
-    assert is_independent(g, composite | rs.current_best)
+    composite = rs.S | extend_solution(rs.current_best, rs.round_log)
+    assert is_independent(g, composite)
 
 
 def test_restart_round_composite_independent_randoms():
