@@ -35,9 +35,6 @@ class StaticGraph:
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
-
     def audit(self) -> None:
         """Recompute every structural invariant from scratch; raise on breakage."""
         deg_sum = 0
@@ -113,54 +110,32 @@ class WorkingGraph:
     results. Single-owner, single-threaded.
     """
 
-    __slots__ = (
-        "base",
-        "alive",
-        "live_degree",
-        "alive_count",
-        "extra_adj",
-        "fold_adj",
-        "touched",
-        "check_steps",
-    )
+    __slots__ = ("adj", "alive", "live_degree", "alive_count", "touched", "check_steps")
 
     def __init__(self, base: StaticGraph):
-        self.base = base
+        # adj[v]: every neighbor v ever had, dead or alive, ascending. The
+        # lists start out shared with base; a fold replaces a list instead of
+        # appending to it, so base is never mutated.
+        self.adj = list(base.adjacency)
         n = base.vertex_count
         self.alive = [True] * n
         self.live_degree = [len(a) for a in base.adjacency]
         self.alive_count = n
-        # extra_adj[v]: fold vertices later attached to v (ascending ids).
-        self.extra_adj: list[list[int]] = [[] for _ in range(n)]
-        # fold_adj[j]: adjacency of fold vertex base.vertex_count + j at creation.
-        self.fold_adj: list[list[int]] = []
         # Vertices whose live neighborhood changed since last drain; consumed
         # by the reduction fixpoint driver.
         self.touched: list[int] = []
         # Instrumentation: elementary steps spent in rule-applicability checks.
         self.check_steps = 0
 
-    def _adj_parts(self, v: int):
-        nbase = self.base.vertex_count
-        if v < nbase:
-            return self.base.adjacency[v], self.extra_adj[v]
-        return self.fold_adj[v - nbase], self.extra_adj[v]
-
     def alive_neighbors(self, v: int) -> list[int]:
         """Alive neighbors of v in ascending id order."""
         alive = self.alive
-        first, second = self._adj_parts(v)
-        out = [u for u in first if alive[u]]
-        out.extend(u for u in second if alive[u])
-        return out
+        return [u for u in self.adj[v] if alive[u]]
 
     def adjacent(self, u: int, v: int) -> bool:
-        first, second = self._adj_parts(u)
-        i = bisect_left(first, v)
-        if i < len(first) and first[i] == v:
-            return True
-        i = bisect_left(second, v)
-        return i < len(second) and second[i] == v
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def kill(self, v: int) -> None:
         """Remove v; decrement surviving neighbors' live degrees."""
@@ -171,11 +146,10 @@ class WorkingGraph:
         alive = self.alive
         live_degree = self.live_degree
         touched = self.touched
-        for part in self._adj_parts(v):
-            for u in part:
-                if alive[u]:
-                    live_degree[u] -= 1
-                    touched.append(u)
+        for u in self.adj[v]:
+            if alive[u]:
+                live_degree[u] -= 1
+                touched.append(u)
 
     def delete_closed_neighborhood(self, v: int) -> None:
         """Delete v and all its alive neighbors."""
@@ -205,15 +179,16 @@ class WorkingGraph:
         self.kill(v)
         self.kill(w)
         x = len(self.alive)
+        adj = self.adj
         adj_x = sorted(merged)
-        self.fold_adj.append(adj_x)
-        self.extra_adj.append([])
+        adj.append(adj_x)
         self.alive.append(True)
         self.live_degree.append(len(adj_x))
         self.alive_count += 1
         touched = self.touched
         for t in adj_x:
-            self.extra_adj[t].append(x)
+            # x is the largest id so far, so the copy stays ascending.
+            adj[t] = adj[t] + [x]
             self.live_degree[t] += 1
             touched.append(t)
         touched.append(x)
@@ -226,14 +201,16 @@ class WorkingGraph:
         """Compact the alive subgraph into a fresh StaticGraph.
 
         Returns the graph and the map from new ids to working-universe ids.
-        The map is ascending and alive_neighbors() is sorted, so each remapped
+        The map is ascending and every adj list is sorted, so each remapped
         adjacency list is already sorted.
         """
         vertices = self.alive_vertices()
-        remap = [0] * len(self.alive)
+        alive = self.alive
+        adj = self.adj
+        remap = [0] * len(alive)
         for i, v in enumerate(vertices):
             remap[v] = i
-        adjacency = [[remap[u] for u in self.alive_neighbors(v)] for v in vertices]
+        adjacency = [[remap[u] for u in adj[v] if alive[u]] for v in vertices]
         return StaticGraph(adjacency), vertices
 
     def audit(self) -> None:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 import os
 
 from .graph import StaticGraph, build_graph
-
-log = logging.getLogger("arir")
 
 _MAX_ID = 2**63 - 1
 
@@ -52,7 +49,11 @@ def read_graph(path: str, fmt: str = "auto", index_base: str = "auto") -> Static
 
 def read_metis(path: str) -> StaticGraph:
     """Read a Metis-format graph: header "n m", then line i lists the
-    (1-based) neighbors of vertex i. '%' comment lines are skipped."""
+    (1-based) neighbors of vertex i. '%' comment lines are skipped.
+
+    Every edge must be listed from both ends exactly once, and m must be the
+    edge count. Missing trailing lines are isolated vertices.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.lstrip().startswith("%")]
     if not lines:
@@ -66,23 +67,31 @@ def read_metis(path: str) -> StaticGraph:
         raise ParseError(f"{path}: weighted metis format {header[2]} unsupported")
     if n < 0:
         raise ParseError(f"{path}: negative vertex count {n}")
-    edges = []
-    for i in range(n):
-        if i + 1 >= len(lines):
-            break
-        for tok in lines[i + 1].split():
-            u = _parse_id(tok, f"{path} line {i + 2}")
-            if not 1 <= u <= n:
-                raise ParseError(f"{path} line {i + 2}: neighbor id {u} out of range")
-            edges.append((i, u - 1))
-    # build_graph rejects an empty graph; a fully reduced kernel is one.
-    graph = build_graph(edges, vertex_count_hint=n) if n else StaticGraph([])
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    entries = 0
+    for i, line in enumerate(lines[1 : n + 1]):
+        where = f"{path} line {i + 2}"
+        row = nbr[i]
+        for tok in line.split():
+            u = _parse_id(tok, where) - 1
+            if not 0 <= u < n:
+                raise ParseError(f"{where}: neighbor id {u + 1} out of range")
+            if u == i:
+                raise ParseError(f"{where}: vertex {i + 1} lists itself")
+            row.add(u)
+            nbr[u].add(i)
+            entries += 1
+    graph = StaticGraph([sorted(a) for a in nbr])
+    # The sets symmetrize and drop repeats, so an asymmetric or repeated
+    # entry makes the entry count differ from twice the edge count.
+    if entries != 2 * graph.edge_count:
+        raise ParseError(
+            f"{path}: {entries} neighbor entries do not list {graph.edge_count}"
+            " edges from both ends (asymmetric or repeated neighbor)"
+        )
     if graph.edge_count != m:
-        log.info(
-            "%s: header claims %d edges, adjacency holds %d; using recount",
-            path,
-            m,
-            graph.edge_count,
+        raise ParseError(
+            f"{path}: header claims {m} edges, adjacency holds {graph.edge_count}"
         )
     return graph
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 from .graph import ContractError, FoldRecord, StaticGraph, WorkingGraph
 
-SIMPLE_RULES = frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"})
-ADVANCED_RULES = frozenset(
-    {"zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"}
-)
-LIGHT_RULES = frozenset({"zero", "one", "fold"})
-
-RULESETS = {"simple": SIMPLE_RULES, "advanced": ADVANCED_RULES, "light": LIGHT_RULES}
+RULESETS = {
+    "simple": frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"}),
+    "advanced": frozenset(
+        {"zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"}
+    ),
+    "light": frozenset({"zero", "one", "fold"}),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,11 +37,6 @@ class Excluded:
     vertex: int
 
 
-@dataclass(frozen=True, slots=True)
-class Fold:
-    record: FoldRecord
-
-
 class ReductionLog:
     """Ordered undo records; replaying in reverse lifts a kernel solution
     back to the graph the log was produced on."""
@@ -49,7 +44,7 @@ class ReductionLog:
     __slots__ = ("records", "fixed_count", "fold_count", "kernel_map")
 
     def __init__(self):
-        self.records: list = []
+        self.records: list[FixedInSolution | Excluded | FoldRecord] = []
         self.fixed_count = 0
         self.fold_count = 0
         # kernel id -> pre-compaction universe id, set when the alive
@@ -64,7 +59,7 @@ class ReductionLog:
         self.records.append(Excluded(vertex))
 
     def add_fold(self, record: FoldRecord) -> None:
-        self.records.append(Fold(record))
+        self.records.append(record)
         self.fold_count += 1
 
     def __len__(self) -> int:
@@ -80,8 +75,8 @@ class ReductionLog:
             elif isinstance(rec, Excluded):
                 lines.append(f"X {rec.vertex}")
             else:
-                r = rec.record
-                lines.append(f"D {r.new_vertex} {r.folded} {r.merged[0]} {r.merged[1]}")
+                v, w = rec.merged
+                lines.append(f"D {rec.new_vertex} {rec.folded} {v} {w}")
         return lines
 
     @classmethod
@@ -212,12 +207,11 @@ def rule_fold2(
 def _closed_subset(W: WorkingGraph, u: int, v: int) -> bool:
     """True iff every alive neighbor of u other than v is adjacent to v."""
     alive = W.alive
-    for part in W._adj_parts(u):
-        for t in part:
-            if alive[t]:
-                W.check_steps += 1
-                if t != v and not W.adjacent(t, v):
-                    return False
+    for t in W.adj[u]:
+        if alive[t]:
+            W.check_steps += 1
+            if t != v and not W.adjacent(t, v):
+                return False
     return True
 
 
@@ -319,10 +313,7 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
 
 
 def run_to_fixpoint(
-    W: WorkingGraph,
-    tier: str = "simple",
-    rules: frozenset | None = None,
-    log: ReductionLog | None = None,
+    W: WorkingGraph, tier: str = "simple"
 ) -> tuple[set[int], ReductionLog]:
     """Apply the tier's rules until none fires anywhere.
 
@@ -331,11 +322,8 @@ def run_to_fixpoint(
     kernels are deterministic for a fixed input. Returns the set of vertices
     fixed into the solution and the undo log.
     """
-    if rules is None:
-        rules = RULESETS[tier]
-    if log is None:
-        log = ReductionLog()
-    first_new = len(log.records)
+    rules = RULESETS[tier]
+    log = ReductionLog()
     W.touched.clear()
     alive = W.alive
     queue = deque(v for v in range(len(alive)) if alive[v])
@@ -355,20 +343,15 @@ def run_to_fixpoint(
                     queue.append(t)
             touched.clear()
     W.touched.clear()
-    fixed = {
-        rec.vertex
-        for rec in log.records[first_new:]
-        if isinstance(rec, FixedInSolution)
-    }
+    fixed = {rec.vertex for rec in log.records if isinstance(rec, FixedInSolution)}
     return fixed, log
 
 
-def kernelize(graph: StaticGraph, ruleset: str | frozenset = "advanced") -> KernelResult:
-    """Reduce a graph to its irreducible kernel under the given rules and
-    renumber the survivors into a compact StaticGraph."""
-    rules = RULESETS[ruleset] if isinstance(ruleset, str) else ruleset
+def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
+    """Reduce a graph to its irreducible kernel under the named tier of rules
+    and renumber the survivors into a compact StaticGraph."""
     W = WorkingGraph(graph)
-    _, log = run_to_fixpoint(W, rules=rules)
+    _, log = run_to_fixpoint(W, ruleset)
     kernel, orig_ids = W.freeze()
     log.kernel_map = orig_ids
     return KernelResult(
@@ -402,12 +385,10 @@ def extend_solution(
     for rec in reversed(log.records):
         if isinstance(rec, FixedInSolution):
             solution.add(rec.vertex)
-        elif isinstance(rec, Fold):
-            r = rec.record
-            if r.new_vertex in solution:
-                solution.remove(r.new_vertex)
-                solution.add(r.merged[0])
-                solution.add(r.merged[1])
+        elif isinstance(rec, FoldRecord):
+            if rec.new_vertex in solution:
+                solution.remove(rec.new_vertex)
+                solution.update(rec.merged)
             else:
-                solution.add(r.folded)
+                solution.add(rec.folded)
     return solution

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 
 from .graph import ContractError, StaticGraph, WorkingGraph
 from .reductions import (
-    ADVANCED_RULES,
-    LIGHT_RULES,
     ReductionLog,
     extend_solution,
     kernelize,
@@ -200,8 +198,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     cfg = config.validated()
     t_start = time.perf_counter()
     rng = random.Random(cfg.seed)
-    outer_rules = LIGHT_RULES if cfg.variant == "arir1" else ADVANCED_RULES
-    kern = kernelize(graph, outer_rules)
+    kern = kernelize(graph, "light" if cfg.variant == "arir1" else "advanced")
     offset = kern.fixed_count + kern.fold_count
     log.info(
         "kernel: %d of %d vertices remain, %d solution vertices fixed",

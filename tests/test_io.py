@@ -32,6 +32,9 @@ def test_metis_comments_and_isolated(tmp_path):
     assert g.vertex_count == 3
     assert g.edge_count == 1
     assert g.degree(2) == 0
+    # A missing trailing line is an isolated vertex too.
+    target.write_text("3 1\n2\n1\n")
+    assert read_metis(str(target)) == g
 
 
 def test_metis_rejects_bad_header(tmp_path):
@@ -45,6 +48,27 @@ def test_metis_rejects_out_of_range_neighbor(tmp_path):
     target = tmp_path / "oob.graph"
     target.write_text("2 1\n3\n1\n")
     with pytest.raises(ParseError):
+        read_metis(str(target))
+
+
+def test_metis_rejects_unpaired_neighbors(tmp_path):
+    # Each file's edges recount to its header m; only the pairing is wrong.
+    cases = {
+        "asymmetric": ("3 2\n2\n1 3\n\n", "both ends"),
+        "repeated": ("2 1\n2 2\n1\n", "both ends"),
+        "self": ("2 1\n1 2\n1\n", "line 2: vertex 1 lists itself"),
+    }
+    for name, (text, message) in cases.items():
+        target = tmp_path / f"{name}.graph"
+        target.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_metis(str(target))
+
+
+def test_metis_rejects_wrong_edge_count(tmp_path):
+    target = tmp_path / "count.graph"
+    target.write_text("3 3\n2\n1 3\n2\n")
+    with pytest.raises(ParseError, match="header claims 3 edges"):
         read_metis(str(target))
 
 

@@ -124,7 +124,7 @@ def test_fold2_p3_lift_both_ways():
     w = WorkingGraph(path(3))
     log = ReductionLog()
     assert rule_fold2(w, 1, log)
-    x = log.records[0].record.new_vertex
+    x = log.records[0].new_vertex
     assert extend_solution({x}, log) == {0, 2}
     assert extend_solution(set(), log) == {1}
 
@@ -235,6 +235,7 @@ def test_alpha_preservation_small(tier):
     rng = random.Random(hash(tier) & 0xFFFF)
     for _ in range(60):
         g = gnp(rng.randint(2, 18), rng.uniform(0.05, 0.6), rng)
+        before = [list(a) for a in g.adjacency]
         total, result = kernel_alpha(g, tier)
         assert total == brute_alpha(g)
         witness = (
@@ -243,6 +244,8 @@ def test_alpha_preservation_small(tier):
         lifted = result.extend(witness)
         assert is_independent(g, lifted)
         assert len(lifted) == total
+        # Folds copy a neighbor's list before extending it; the input stays.
+        assert g.adjacency == before
 
 
 def test_extend_rejects_dependent_input():
