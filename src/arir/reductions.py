@@ -30,13 +30,6 @@ class FixedInSolution:
     vertex: int
 
 
-@dataclass(frozen=True, slots=True)
-class Excluded:
-    """Vertex removed because some maximum solution avoids it."""
-
-    vertex: int
-
-
 class ReductionLog:
     """Ordered undo records; replaying in reverse lifts a kernel solution
     back to the graph the log was produced on."""
@@ -44,7 +37,7 @@ class ReductionLog:
     __slots__ = ("records", "fixed_count", "fold_count", "kernel_map")
 
     def __init__(self):
-        self.records: list[FixedInSolution | Excluded | FoldRecord] = []
+        self.records: list[FixedInSolution | FoldRecord] = []
         self.fixed_count = 0
         self.fold_count = 0
         # kernel id -> pre-compaction universe id, set when the alive
@@ -54,9 +47,6 @@ class ReductionLog:
     def add_fixed(self, vertex: int) -> None:
         self.records.append(FixedInSolution(vertex))
         self.fixed_count += 1
-
-    def add_excluded(self, vertex: int) -> None:
-        self.records.append(Excluded(vertex))
 
     def add_fold(self, record: FoldRecord) -> None:
         self.records.append(record)
@@ -72,8 +62,6 @@ class ReductionLog:
         for rec in self.records:
             if isinstance(rec, FixedInSolution):
                 lines.append(f"F {rec.vertex}")
-            elif isinstance(rec, Excluded):
-                lines.append(f"X {rec.vertex}")
             else:
                 v, w = rec.merged
                 lines.append(f"D {rec.new_vertex} {rec.folded} {v} {w}")
@@ -85,15 +73,14 @@ class ReductionLog:
         kmap: list[int] = []
         for line in lines:
             toks = line.split()
-            if not toks or toks[0] == "#":
+            # An X line (an exclusion record of older logs) lifts to nothing.
+            if not toks or toks[0] in ("#", "X"):
                 continue
             tag = toks[0]
             if tag == "K":
                 kmap.append(int(toks[2]))
             elif tag == "F":
                 log.add_fixed(int(toks[1]))
-            elif tag == "X":
-                log.add_excluded(int(toks[1]))
             elif tag == "D":
                 x, u, v, w = (int(t) for t in toks[1:5])
                 log.add_fold(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
@@ -118,27 +105,25 @@ class KernelResult:
         return extend_solution(kernel_solution, self.log, kernel=self.kernel)
 
 
-def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog | None = None) -> bool:
+def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     """Fix an isolated vertex into the solution."""
     if not W.alive[v] or W.live_degree[v] != 0:
         return False
-    if log is not None:
-        log.add_fixed(v)
+    log.add_fixed(v)
     W.kill(v)
     return True
 
 
-def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog | None = None) -> bool:
+def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     """Fix a degree-1 vertex and delete its closed neighborhood."""
     if not W.alive[v] or W.live_degree[v] != 1:
         return False
     W.delete_closed_neighborhood(v)
-    if log is not None:
-        log.add_fixed(v)
+    log.add_fixed(v)
     return True
 
 
-def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> bool:
+def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
     """Fix a 2-vertex whose neighbors are adjacent; delete the triangle."""
     if not W.alive[u] or W.live_degree[u] != 2:
         return False
@@ -146,13 +131,12 @@ def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> b
     W.check_steps += 1
     if not W.adjacent(v, w):
         return False
-    if log is not None:
-        log.add_fixed(u)
+    log.add_fixed(u)
     W.delete_closed_neighborhood(u)
     return True
 
 
-def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> bool:
+def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
     """Fix both 2-vertices of a chordless 4-cycle; delete all four vertices."""
     if not W.alive[u] or W.live_degree[u] != 2:
         return False
@@ -171,9 +155,8 @@ def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog | None = None)
             break
     if partner < 0:
         return False
-    if log is not None:
-        log.add_fixed(u)
-        log.add_fixed(partner)
+    log.add_fixed(u)
+    log.add_fixed(partner)
     W.delete_closed_neighborhood(u)
     W.kill(partner)
     return True
@@ -182,7 +165,7 @@ def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog | None = None)
 def rule_fold2(
     W: WorkingGraph,
     u: int,
-    log: ReductionLog | None = None,
+    log: ReductionLog,
     restricted: bool = False,
 ) -> bool:
     """Fold a 2-vertex with non-adjacent neighbors into a fresh vertex.
@@ -198,9 +181,7 @@ def rule_fold2(
     W.check_steps += 1
     if W.adjacent(v, w):
         return False
-    record = W.fold_degree2(u)
-    if log is not None:
-        log.add_fold(record)
+    log.add_fold(W.fold_degree2(u))
     return True
 
 
@@ -215,7 +196,7 @@ def _closed_subset(W: WorkingGraph, u: int, v: int) -> bool:
     return True
 
 
-def rule_domination(W: WorkingGraph, v: int, log: ReductionLog | None = None) -> bool:
+def rule_domination(W: WorkingGraph, v: int) -> bool:
     """Exclude v when some neighbor u has its closed neighborhood inside v's:
     an optimum avoiding v then exists."""
     if not W.alive[v]:
@@ -227,14 +208,12 @@ def rule_domination(W: WorkingGraph, v: int, log: ReductionLog | None = None) ->
         if W.live_degree[u] > dv:
             break
         if _closed_subset(W, u, v):
-            if log is not None:
-                log.add_excluded(v)
             W.kill(v)
             return True
     return False
 
 
-def _dominates_neighbor(W: WorkingGraph, u: int, log: ReductionLog | None) -> bool:
+def _dominates_neighbor(W: WorkingGraph, u: int) -> bool:
     """Exclude some neighbor v of u with N[u] ⊆ N[v] (reverse direction of
     rule_domination, needed so the fixpoint catches pairs whose containment
     was created by deletions near u)."""
@@ -244,14 +223,12 @@ def _dominates_neighbor(W: WorkingGraph, u: int, log: ReductionLog | None) -> bo
     for v in W.alive_neighbors(u):
         W.check_steps += 1
         if W.live_degree[v] >= du and _closed_subset(W, u, v):
-            if log is not None:
-                log.add_excluded(v)
             W.kill(v)
             return True
     return False
 
 
-def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> bool:
+def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
     """Fix two non-adjacent vertices sharing the same 3 neighbors when those
     neighbors span at least one edge; delete all five vertices."""
     if not W.alive[u] or W.live_degree[u] != 3:
@@ -273,9 +250,8 @@ def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog | None = None) -> 
             break
     if twin < 0:
         return False
-    if log is not None:
-        log.add_fixed(u)
-        log.add_fixed(twin)
+    log.add_fixed(u)
+    log.add_fixed(twin)
     W.delete_closed_neighborhood(u)
     W.kill(twin)
     return True
@@ -303,9 +279,9 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
                 if W.live_degree[u] == 2 and rule_fold2(W, u, log, restricted=True):
                     return True
     if "domination" in rules:
-        if rule_domination(W, v, log):
+        if rule_domination(W, v):
             return True
-        if _dominates_neighbor(W, v, log):
+        if _dominates_neighbor(W, v):
             return True
     if "twin_edge" in rules and rule_twin_edge(W, v, log):
         return True
@@ -367,7 +343,7 @@ def extend_solution(
     """Lift a kernel solution back through the log.
 
     Replayed in reverse: a fixed vertex rejoins the solution, a fold resolves
-    to its merged pair or its folded center, an exclusion adds nothing. The
+    to its merged pair or its folded center. The
     result gains exactly fixed_count + fold_count vertices.
     """
     if kernel is not None:

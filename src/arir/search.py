@@ -71,7 +71,6 @@ class SolutionState:
         "swap_free",
         "touches",
         "max_iter_touches",
-        "force_cap",
         "_age",
         "_age_pos",
         "_age_head",
@@ -105,7 +104,6 @@ class SolutionState:
         self.swap_free = False
         self.touches = 0
         self.max_iter_touches = 0
-        self.force_cap = _FORCE_CAP
         self._zero_heap: list[int] = []
         self._one_buf: list[int] = []
         self._queue: deque[int] = deque()
@@ -326,7 +324,7 @@ class SolutionState:
             return set()
         rng = self.rng
         c = 1
-        while c < self.force_cap and rng.random() < 0.5:
+        while c < _FORCE_CAP and rng.random() < 0.5:
             c += 1
         forced: list[int] = []
         for _ in range(c):
@@ -380,11 +378,11 @@ class SolutionState:
             raise AssertionError("age queue out of age order")
 
 
-def greedy_init(view: LiveView, rng: random.Random | None = None) -> SolutionState:
+def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     """Build a maximal solution by repeatedly taking a minimum-degree vertex
     and deleting its closed neighborhood (on scratch counters); ties go to
     the lowest id."""
-    state = SolutionState(view, rng if rng is not None else random.Random(0))
+    state = SolutionState(view, rng)
     adj = view.adjacency
     n = view.vertex_count
     deg = [len(a) for a in adj]

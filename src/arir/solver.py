@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .graph import ContractError, StaticGraph, WorkingGraph
 from .reductions import (
@@ -73,10 +73,6 @@ class AdaptiveState:
     iter_num: int = 0
     p_centi: int = 0
 
-    @property
-    def p(self) -> float:
-        return self.p_centi / 100.0
-
 
 def adaptive_test(adaptive: AdaptiveState, improved: bool, rng: random.Random) -> bool:
     """Stagnation test, run once per block after advancing iter_num.
@@ -95,36 +91,13 @@ def adaptive_test(adaptive: AdaptiveState, improved: bool, rng: random.Random) -
     return rng.random() < adaptive.p_centi / 100.0
 
 
-class RirState:
-    """Running intersection of the solutions recorded this round."""
-
-    __slots__ = ("intersection", "recorded_count")
-
-    def __init__(self):
-        # None is the full-vertex sentinel (identity of intersection).
-        self.intersection: set[int] | None = None
-        self.recorded_count = 0
-
-    def reset(self) -> None:
-        self.intersection = None
-        self.recorded_count = 0
-
-
-def record_solution(rir: RirState, solution: set[int]) -> None:
-    if rir.intersection is None:
-        rir.intersection = set(solution)
-    else:
-        rir.intersection &= solution
-    rir.recorded_count += 1
-
-
 def rir_reduce(
-    frozen_kernel: StaticGraph, rir: RirState
+    frozen_kernel: StaticGraph, intersection: set[int] | None
 ) -> tuple[set[int], WorkingGraph]:
     """Fix the recorded intersection and rebuild the working graph as the
     frozen kernel minus the closed neighborhood of the fixed set. Deletion
     always starts from the frozen kernel, never from a previous reduction."""
-    S = set(rir.intersection) if rir.intersection is not None else set()
+    S = set(intersection) if intersection is not None else set()
     working = WorkingGraph(frozen_kernel)
     for v in sorted(S):
         if working.alive[v]:
@@ -135,30 +108,48 @@ def rir_reduce(
 
 @dataclass(slots=True)
 class RoundState:
-    """Per-round search context over the frozen kernel."""
+    """One search round over the frozen kernel: the intersection-fixed set S,
+    the working graph left after deleting N[S], the round's reduction log,
+    the search state and the round's best solution (in working-graph ids),
+    plus the running intersection of the solutions recorded this round
+    (None until the first record)."""
 
-    frozen_kernel: StaticGraph
+    S: set[int]
     working: WorkingGraph
-    rir: RirState
+    round_log: ReductionLog
     state: SolutionState
-    S: set[int] = field(default_factory=set)
-    round_log: ReductionLog = field(default_factory=ReductionLog)
-    current_best: set[int] = field(default_factory=set)
-    global_best: set[int] = field(default_factory=set)
+    current_best: set[int]
+    intersection: set[int] | None = None
 
+    @classmethod
+    def begin(
+        cls,
+        S: set[int],
+        working: WorkingGraph,
+        round_log: ReductionLog,
+        rng: random.Random,
+    ) -> "RoundState":
+        """Start a round on a reduced working graph with a greedy solution."""
+        state = greedy_init(LiveView.from_working(working), rng)
+        return cls(S, working, round_log, state, state.solution_set())
 
-def _lift_round(solution: set[int], rs: RoundState) -> set[int]:
-    """Lift a working-graph solution onto the frozen kernel: undo the round's
-    folds, add its fixed vertices, then add the intersection-fixed set."""
-    lifted = extend_solution(solution, rs.round_log)
-    lifted |= rs.S
-    return lifted
+    def record(self) -> None:
+        """Intersect current_best into the running intersection. Recorded sets
+        live on the frozen kernel: round folds are resolved and round-fixed
+        vertices included, but not S, so a later intersection can release
+        previously fixed vertices."""
+        lifted = extend_solution(self.current_best, self.round_log)
+        if self.intersection is None:
+            self.intersection = lifted
+        else:
+            self.intersection &= lifted
 
-
-def _composite_size(solution_size: int, rs: RoundState) -> int:
-    return (
-        solution_size + len(rs.S) + rs.round_log.fixed_count + rs.round_log.fold_count
-    )
+    def lift(self, solution: set[int]) -> set[int]:
+        """Lift a working-graph solution onto the frozen kernel: undo the
+        round's reductions, then add the intersection-fixed set."""
+        lifted = extend_solution(solution, self.round_log)
+        lifted |= self.S
+        return lifted
 
 
 def _assert_independent(graph: StaticGraph, solution: set[int]) -> None:
@@ -168,19 +159,19 @@ def _assert_independent(graph: StaticGraph, solution: set[int]) -> None:
                 raise ContractError(f"solution carries edge {v}-{u}")
 
 
-def restart_round(rs: RoundState, config: RunConfig, rng: random.Random) -> None:
-    """Begin a fresh round: fix the recorded intersection, delete its closed
-    neighborhood from the frozen kernel, optionally run the simple reduction
-    tier on the remainder, and reinitialize the search greedily."""
-    rs.S, rs.working = rir_reduce(rs.frozen_kernel, rs.rir)
-    rs.round_log = ReductionLog()
+def restart_round(
+    frozen_kernel: StaticGraph, rs: RoundState, config: RunConfig, rng: random.Random
+) -> RoundState:
+    """Begin a fresh round: fix the intersection recorded in rs, delete its
+    closed neighborhood from the frozen kernel, optionally run the simple
+    reduction tier on the remainder, and reinitialize the search greedily."""
+    S, working = rir_reduce(frozen_kernel, rs.intersection)
+    round_log = ReductionLog()
     if config.variant == "arir3":
-        _, rs.round_log = run_to_fixpoint(rs.working, tier="simple")
-    rs.state = greedy_init(LiveView.from_working(rs.working), rng)
-    rs.current_best = rs.state.solution_set()
-    rs.rir.reset()
-    composite = _lift_round(rs.current_best, rs)
-    _assert_independent(rs.frozen_kernel, composite)
+        _, round_log = run_to_fixpoint(working, tier="simple")
+    new = RoundState.begin(S, working, round_log, rng)
+    _assert_independent(frozen_kernel, new.lift(new.current_best))
+    return new
 
 
 @dataclass(slots=True)
@@ -207,46 +198,24 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         offset,
     )
 
-    stats = {
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-        "cutoff_s": cfg.cutoff_seconds if cfg.max_blocks is None else None,
-        "kernel_vertices": kern.kernel.vertex_count,
-        "fixed_by_kernel": offset,
-        "rounds": 1,
-        "restarts": 0,
-        "blocks": 0,
-    }
-
-    if kern.kernel.vertex_count == 0:
-        solution = kern.extend(set())
-        stats["best_size"] = len(solution)
-        stats["time_to_best_s"] = time.perf_counter() - t_start
-        _verify_final(graph, solution)
-        return RunResult(solution=solution, stats=stats)
-
     GK = kern.kernel
     adaptive = AdaptiveState(n=cfg.n)
-    working = WorkingGraph(GK)
-    state = greedy_init(LiveView.from_working(working), rng)
-    rs = RoundState(
-        frozen_kernel=GK, working=working, rir=RirState(), state=state
-    )
-    rs.current_best = state.solution_set()
-    rs.global_best = set(rs.current_best)
-    global_size = len(rs.global_best)
+    rs = RoundState.begin(set(), WorkingGraph(GK), ReductionLog(), rng)
+    # The best solution of all rounds, on the frozen kernel.
+    best = rs.lift(rs.current_best)
     t_best = time.perf_counter() - t_start
 
     adaptive_on = cfg.variant != "arw"
     blocks = 0
     restarts = 0
-    while True:
+    # An empty kernel is solved by kernelization alone: no block runs.
+    while GK.vertex_count > 0:
         if cfg.max_blocks is not None:
             if blocks >= cfg.max_blocks:
                 break
         elif time.perf_counter() - t_start >= cfg.cutoff_seconds:
             break
-        if cfg.target_size is not None and global_size + offset >= cfg.target_size:
+        if cfg.target_size is not None and len(best) + offset >= cfg.target_size:
             break
 
         tracker = arw_block(rs.state, cfg.m)
@@ -257,49 +226,42 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         if adaptive_on:
             adaptive.iter_num += cfg.m
             if adaptive.iter_num % adaptive.n == 0:
-                # Recorded sets live on the frozen kernel: round folds are
-                # resolved and round-fixed vertices included, but not S, so a
-                # later intersection can release previously fixed vertices.
-                record_solution(
-                    rs.rir, extend_solution(rs.current_best, rs.round_log)
-                )
+                rs.record()
             restart = adaptive_test(adaptive, improved, rng)
 
+        # A restart only follows a block that did not improve.
         if restart:
-            restart_round(rs, cfg, rng)
+            rs = restart_round(GK, rs, cfg, rng)
             restarts += 1
-            comp = _composite_size(len(rs.current_best), rs)
-            if comp > global_size:
-                rs.global_best = _lift_round(rs.current_best, rs)
-                global_size = comp
-                t_best = time.perf_counter() - t_start
             log.debug(
                 "restart %d: fixed %d by intersection, %d alive",
                 restarts,
                 len(rs.S),
                 rs.working.alive_count,
             )
-            continue
-
-        if improved:
+        elif improved:
             rs.current_best = tracker.best_set
-            comp = _composite_size(tracker.best_size, rs)
-            if comp > global_size:
-                rs.global_best = _lift_round(rs.current_best, rs)
-                if len(rs.global_best) != comp:
-                    raise ContractError(
-                        f"composite size {comp} != lifted {len(rs.global_best)}"
-                    )
-                global_size = comp
-                t_best = time.perf_counter() - t_start
+        else:
+            continue
+        lifted = rs.lift(rs.current_best)
+        if len(lifted) > len(best):
+            best = lifted
+            t_best = time.perf_counter() - t_start
 
-    solution = extend_solution(rs.global_best, kern.log)
-    stats["best_size"] = len(solution)
-    stats["time_to_best_s"] = t_best
-    stats["rounds"] = restarts + 1
-    stats["restarts"] = restarts
-    stats["blocks"] = blocks
+    solution = extend_solution(best, kern.log)
     _verify_final(graph, solution)
+    stats = {
+        "variant": cfg.variant,
+        "seed": cfg.seed,
+        "cutoff_s": cfg.cutoff_seconds if cfg.max_blocks is None else None,
+        "kernel_vertices": GK.vertex_count,
+        "fixed_by_kernel": offset,
+        "rounds": restarts + 1,
+        "restarts": restarts,
+        "blocks": blocks,
+        "best_size": len(solution),
+        "time_to_best_s": t_best,
+    }
     return RunResult(solution=solution, stats=stats)
 
 

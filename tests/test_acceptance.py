@@ -11,23 +11,18 @@ import time
 import pytest
 
 from arir import (
+    ReductionLog,
     RunConfig,
     WorkingGraph,
+    build_graph,
     exact_mis,
     extend_solution,
     kernelize,
     read_graph,
     run,
 )
-from arir.search import LiveView, arw_block, greedy_init
-from arir.solver import (
-    AdaptiveState,
-    RirState,
-    RoundState,
-    adaptive_test,
-    record_solution,
-    restart_round,
-)
+from arir.search import arw_block, greedy_init
+from arir.solver import AdaptiveState, RoundState, adaptive_test, restart_round
 from helpers import ScriptedRng, gnp, is_independent, is_maximal, view_of
 
 
@@ -161,32 +156,34 @@ def test_criterion_4_adaptive_semantics():
 
 def test_criterion_5_rir_semantics():
     rng = random.Random(99)
+    isolated = build_graph([], 60)
     for trial in range(100):
         universe = list(range(60))
         sets = [
             set(rng.sample(universe, rng.randint(1, 30)))
             for _ in range(rng.randint(1, 8))
         ]
-        rir = RirState()
-        for s in sets:
-            record_solution(rir, s)
-        literal = functools.reduce(set.__and__, sets)
-        if rir.intersection != literal or rir.recorded_count != len(sets):
-            report("5 rir", False, f"intersection mismatch on trial {trial}")
+        rs = RoundState.begin(
+            set(), WorkingGraph(isolated), ReductionLog(), random.Random(trial)
+        )
+        for k, s in enumerate(sets, 1):
+            rs.current_best = s
+            rs.record()
+            # Every record counts: the running value is the prefix intersection.
+            if rs.intersection != functools.reduce(set.__and__, sets[:k]):
+                report("5 rir", False, f"intersection mismatch on trial {trial}")
 
     # Post-restart composites stay independent on the frozen kernel.
     for trial in range(30):
         g = gnp(rng.randint(20, 60), rng.uniform(0.1, 0.3), rng)
-        working = WorkingGraph(g)
         rrng = random.Random(trial)
-        state = greedy_init(LiveView.from_working(working), rrng)
-        rs = RoundState(frozen_kernel=g, working=working, rir=RirState(), state=state)
-        rs.current_best = state.solution_set()
+        rs = RoundState.begin(set(), WorkingGraph(g), ReductionLog(), rrng)
         for _ in range(rng.randint(1, 4)):
             arw_block(rs.state, 10)
-            record_solution(rs.rir, rs.state.solution_set())
+            rs.current_best = rs.state.solution_set()
+            rs.record()
         variant = rng.choice(("arir2", "arir3"))
-        restart_round(rs, RunConfig(variant=variant).validated(), rrng)
+        rs = restart_round(g, rs, RunConfig(variant=variant).validated(), rrng)
         composite = extend_solution(rs.current_best, rs.round_log) | rs.S
         if not is_independent(g, composite):
             report("5 rir", False, f"composite dependent on trial {trial}")

@@ -1,5 +1,6 @@
 import random
 
+import arir.search
 from arir import WorkingGraph, build_graph, exact_mis
 from arir.search import (
     BestTracker,
@@ -262,7 +263,7 @@ def test_age_queue_compacts_and_stays_in_sync():
     assert compacted
 
 
-def test_perturb_picks_from_the_oldest_window():
+def test_perturb_picks_from_the_oldest_window(monkeypatch):
     rng = random.Random(19)
     for trial in range(30):
         g = gnp(rng.randint(20, 200), rng.uniform(0.01, 0.2), rng)
@@ -275,16 +276,19 @@ def test_perturb_picks_from_the_oldest_window():
             assert forced <= set(free)
         # With one forced vertex per call, the pick comes from the window of
         # the state just before the call.
-        state.force_cap = 1
-        for _ in range(40):
-            state.iteration += 1
-            last_out = list(state.last_out)
-            free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
-            ages = sorted(last_out[v] for v in free)
-            forced = state.perturb()
-            state.exhaust_swaps()
-            assert len(forced) == 1
-            assert last_out[next(iter(forced))] <= ages[len(ages) // 32]
+        with monkeypatch.context() as patch:
+            patch.setattr(arir.search, "_FORCE_CAP", 1)
+            for _ in range(40):
+                state.iteration += 1
+                last_out = list(state.last_out)
+                free = [
+                    v for v in range(state.view.vertex_count) if not state.in_sol[v]
+                ]
+                ages = sorted(last_out[v] for v in free)
+                forced = state.perturb()
+                state.exhaust_swaps()
+                assert len(forced) == 1
+                assert last_out[next(iter(forced))] <= ages[len(ages) // 32]
         state.audit()
 
 

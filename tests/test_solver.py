@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from arir import RunConfig, WorkingGraph, extend_solution, run
-from arir.search import LiveView, greedy_init
+from arir import ReductionLog, RunConfig, WorkingGraph, extend_solution, run
+from arir.search import LiveView, arw_block, greedy_init
 from arir.solver import (
     AdaptiveState,
-    RirState,
     RoundState,
     adaptive_test,
-    record_solution,
     restart_round,
     rir_reduce,
 )
@@ -72,38 +70,53 @@ def test_adaptive_p_caps_at_one():
     assert state.p_centi == 100
 
 
-def test_record_solution_intersections():
-    rir = RirState()
-    for s in ({1, 3, 5}, {1, 3, 6}, {1, 4, 5}):
-        record_solution(rir, s)
-    assert rir.intersection == {1}
-    assert rir.recorded_count == 3
+def _round_state(g, seed=1):
+    rng = random.Random(seed)
+    rs = RoundState.begin(set(), WorkingGraph(g), ReductionLog(), rng)
+    return rs, rng
 
-    single = RirState()
-    record_solution(single, {2, 7})
+
+def _record_all(rs, solutions):
+    """Record each set as the round's current best, in order."""
+    for s in solutions:
+        rs.current_best = set(s)
+        rs.record()
+
+
+def test_record_intersections():
+    g = cycle(8)
+    rs, _ = _round_state(g)
+    assert rs.intersection is None
+    sets = ({1, 3, 5}, {1, 3, 6}, {1, 4, 5})
+    for k, s in enumerate(sets, 1):
+        _record_all(rs, [s])
+        # Every record counts: the running value is the prefix intersection.
+        assert rs.intersection == set.intersection(*sets[:k])
+    assert rs.intersection == {1}
+
+    single, _ = _round_state(g)
+    _record_all(single, [{2, 7}])
     assert single.intersection == {2, 7}
 
-    disjoint = RirState()
-    record_solution(disjoint, {1})
-    record_solution(disjoint, {2})
+    disjoint, _ = _round_state(g)
+    _record_all(disjoint, [{1}, {2}])
     assert disjoint.intersection == set()
 
 
 def test_rir_reduce_empty_intersection_full_copy():
     g = cycle(5)
-    rir = RirState()
-    record_solution(rir, {0})
-    record_solution(rir, {2})
-    S, working = rir_reduce(g, rir)
+    rs, _ = _round_state(g)
+    _record_all(rs, [{0}, {2}])
+    S, working = rir_reduce(g, rs.intersection)
     assert S == set()
     assert working.alive_count == 5
 
 
 def test_rir_reduce_c5():
     g = cycle(5)
-    rir = RirState()
-    record_solution(rir, {0})
-    S, working = rir_reduce(g, rir)
+    rs, _ = _round_state(g)
+    _record_all(rs, [{0}])
+    S, working = rir_reduce(g, rs.intersection)
     assert S == {0}
     assert working.alive_vertices() == [2, 3]
 
@@ -112,41 +125,32 @@ def test_rir_reduce_composite_independent():
     rng = random.Random(14)
     for trial in range(30):
         g = gnp(40, 0.2, rng)
-        rir = RirState()
+        rs, _ = _round_state(g)
         for _ in range(3):
             state = greedy_init(view_of(g), random.Random(trial * 7))
             state.perturb()
-            record_solution(rir, state.solution_set())
-        S, working = rir_reduce(g, rir)
+            _record_all(rs, [state.solution_set()])
+        S, working = rir_reduce(g, rs.intersection)
         inner = greedy_init(LiveView.from_working(working), random.Random(trial))
         combined = S | inner.solution_set()
         assert is_independent(g, combined)
 
 
-def _round_state(g, variant, seed=1):
-    working = WorkingGraph(g)
-    rng = random.Random(seed)
-    state = greedy_init(LiveView.from_working(working), rng)
-    rs = RoundState(frozen_kernel=g, working=working, rir=RirState(), state=state)
-    rs.current_best = state.solution_set()
-    return rs, rng
-
-
 def test_restart_round_arir2_runs_no_reductions():
     g = gnp(30, 0.2, random.Random(2))
-    rs, rng = _round_state(g, "arir2")
-    record_solution(rs.rir, rs.current_best)
-    restart_round(rs, RunConfig(variant="arir2").validated(), rng)
+    rs, rng = _round_state(g)
+    rs.record()
+    rs = restart_round(g, rs, RunConfig(variant="arir2").validated(), rng)
     assert rs.round_log.fixed_count == 0
     assert len(rs.round_log) == 0
-    assert rs.rir.recorded_count == 0
+    assert rs.intersection is None
 
 
 def test_restart_round_arir3_runs_simple_tier():
     g = path(9)
-    rs, rng = _round_state(g, "arir3")
-    record_solution(rs.rir, set())  # empty intersection: plain restart
-    restart_round(rs, RunConfig(variant="arir3").validated(), rng)
+    rs, rng = _round_state(g)
+    _record_all(rs, [set()])  # empty intersection: plain restart
+    rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rng)
     # The simple tier empties a path entirely.
     assert rs.working.alive_count == 0
     composite = rs.S | extend_solution(rs.current_best, rs.round_log)
@@ -157,12 +161,42 @@ def test_restart_round_composite_independent_randoms():
     rng = random.Random(44)
     for trial in range(20):
         g = gnp(rng.randint(15, 50), rng.uniform(0.1, 0.3), rng)
-        rs, rrng = _round_state(g, "arir3", seed=trial)
-        record_solution(rs.rir, rs.current_best)
-        restart_round(rs, RunConfig(variant="arir3").validated(), rrng)
+        rs, rrng = _round_state(g, seed=trial)
+        rs.record()
+        rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rrng)
         # restart_round asserts independence internally; double-check here.
         lifted = extend_solution(rs.current_best, rs.round_log) | rs.S
         assert is_independent(g, lifted)
+
+
+def test_restart_lift_matches_round_accounting():
+    # Sparse graphs leave degree-2 paths, so the simple tier fixes and folds
+    # in most rounds. The lift of a round's best gains exactly S plus one
+    # vertex per fixed vertex and per fold, and stays independent.
+    rng = random.Random(61)
+    cfg = RunConfig(variant="arir3").validated()
+    folds = fixed_by_intersection = 0
+    for trial in range(40):
+        n = rng.randint(20, 80)
+        g = gnp(n, rng.uniform(1.5, 3.0) / n, rng)
+        rs, rrng = _round_state(g, seed=trial)
+        for _ in range(6):
+            tracker = arw_block(rs.state, 5)
+            if tracker.best_size > len(rs.current_best):
+                rs.current_best = tracker.best_set
+            rs.record()
+            rs = restart_round(g, rs, cfg, rrng)
+            lifted = rs.lift(rs.current_best)
+            assert len(lifted) == (
+                len(rs.current_best)
+                + len(rs.S)
+                + rs.round_log.fixed_count
+                + rs.round_log.fold_count
+            )
+            assert is_independent(g, lifted)
+            folds += rs.round_log.fold_count
+            fixed_by_intersection += len(rs.S)
+    assert folds > 0 and fixed_by_intersection > 0
 
 
 @pytest.mark.parametrize("variant", ["arir1", "arir2", "arir3", "arw"])
