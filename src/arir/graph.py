@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 
 class ContractError(RuntimeError):
@@ -110,14 +111,24 @@ class WorkingGraph:
     results. Single-owner, single-threaded.
     """
 
-    __slots__ = ("adj", "alive", "live_degree", "alive_count", "touched", "check_steps")
+    __slots__ = (
+        "adj",
+        "owned",
+        "alive",
+        "live_degree",
+        "alive_count",
+        "touched",
+        "check_steps",
+    )
 
     def __init__(self, base: StaticGraph):
         # adj[v]: every neighbor v ever had, dead or alive, ascending. The
-        # lists start out shared with base; a fold replaces a list instead of
-        # appending to it, so base is never mutated.
+        # lists start out shared with base, so base is never mutated: the
+        # first fold that extends a list copies it and marks it owned, and
+        # later folds append to the copy in place.
         self.adj = list(base.adjacency)
         n = base.vertex_count
+        self.owned = bytearray(n)
         self.alive = [True] * n
         self.live_degree = [len(a) for a in base.adjacency]
         self.alive_count = n
@@ -182,20 +193,27 @@ class WorkingGraph:
         adj = self.adj
         adj_x = sorted(merged)
         adj.append(adj_x)
+        owned = self.owned
+        owned.append(1)
         self.alive.append(True)
-        self.live_degree.append(len(adj_x))
+        live_degree = self.live_degree
+        live_degree.append(len(adj_x))
         self.alive_count += 1
         touched = self.touched
         for t in adj_x:
-            # x is the largest id so far, so the copy stays ascending.
-            adj[t] = adj[t] + [x]
-            self.live_degree[t] += 1
+            # x is the largest id so far, so the list stays ascending.
+            if owned[t]:
+                adj[t].append(x)
+            else:
+                adj[t] = adj[t] + [x]
+                owned[t] = 1
+            live_degree[t] += 1
             touched.append(t)
         touched.append(x)
         return FoldRecord(new_vertex=x, folded=u, merged=(v, w))
 
     def alive_vertices(self) -> list[int]:
-        return [v for v in range(len(self.alive)) if self.alive[v]]
+        return list(compress(range(len(self.alive)), self.alive))
 
     def freeze(self) -> tuple[StaticGraph, list[int]]:
         """Compact the alive subgraph into a fresh StaticGraph.

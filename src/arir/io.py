@@ -51,8 +51,9 @@ def read_metis(path: str) -> StaticGraph:
     """Read a Metis-format graph: header "n m", then line i lists the
     (1-based) neighbors of vertex i. '%' comment lines are skipped.
 
-    Every edge must be listed from both ends exactly once, and m must be the
-    edge count. Missing trailing lines are isolated vertices.
+    Every edge must be listed from both ends exactly once (no line repeats
+    an entry or lists its own vertex), and m must be the edge count. Missing
+    trailing lines are isolated vertices.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.lstrip().startswith("%")]
@@ -67,33 +68,60 @@ def read_metis(path: str) -> StaticGraph:
         raise ParseError(f"{path}: weighted metis format {header[2]} unsupported")
     if n < 0:
         raise ParseError(f"{path}: negative vertex count {n}")
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    entries = 0
+    # listed_by[u]: the vertices whose lines list u, ascending. In a valid
+    # file it equals each line's sorted entries, so it becomes the adjacency.
+    listed_by: list[list[int]] = [[] for _ in range(n)]
+    rows: list[list[int]] = []
     for i, line in enumerate(lines[1 : n + 1]):
-        where = f"{path} line {i + 2}"
-        row = nbr[i]
-        for tok in line.split():
-            u = _parse_id(tok, where) - 1
-            if not 0 <= u < n:
-                raise ParseError(f"{where}: neighbor id {u + 1} out of range")
-            if u == i:
-                raise ParseError(f"{where}: vertex {i + 1} lists itself")
-            row.add(u)
-            nbr[u].add(i)
-            entries += 1
-    graph = StaticGraph([sorted(a) for a in nbr])
-    # The sets symmetrize and drop repeats, so an asymmetric or repeated
-    # entry makes the entry count differ from twice the edge count.
-    if entries != 2 * graph.edge_count:
+        toks = line.split()
+        try:
+            row = sorted([int(t) - 1 for t in toks])
+        except ValueError:
+            row = None
+        if (
+            row is None
+            or (row and (row[0] < 0 or row[-1] >= n))
+            or i in row
+            or len(set(row)) != len(row)
+        ):
+            _reject_metis_line(toks, i, n, f"{path} line {i + 2}")
+        rows.append(row)
+        for u in row:
+            listed_by[u].append(i)
+    rows.extend([] for _ in range(n - len(rows)))
+    if rows != listed_by:
+        v = next(v for v in range(n) if rows[v] != listed_by[v])
+        u = min(set(rows[v]).symmetric_difference(listed_by[v]))
+        a, b = (v, u) if u in rows[v] else (u, v)
         raise ParseError(
-            f"{path}: {entries} neighbor entries do not list {graph.edge_count}"
-            " edges from both ends (asymmetric or repeated neighbor)"
+            f"{path}: vertex {a + 1} lists {b + 1}, but {b + 1} does not list"
+            f" {a + 1} (every edge is listed from both ends exactly once)"
         )
+    graph = StaticGraph(listed_by)
     if graph.edge_count != m:
         raise ParseError(
             f"{path}: header claims {m} edges, adjacency holds {graph.edge_count}"
         )
     return graph
+
+
+def _reject_metis_line(toks: list[str], i: int, n: int, where: str) -> None:
+    """Raise ParseError at the first bad token of vertex i's line: not an
+    integer, out of range, i itself, or a repeat."""
+    seen = set()
+    for tok in toks:
+        u = _parse_id(tok, where) - 1
+        if not 0 <= u < n:
+            raise ParseError(f"{where}: neighbor id {u + 1} out of range")
+        if u == i:
+            raise ParseError(f"{where}: vertex {i + 1} lists itself")
+        if u in seen:
+            raise ParseError(
+                f"{where}: neighbor {u + 1} listed twice"
+                " (every edge is listed from both ends exactly once)"
+            )
+        seen.add(u)
+    raise AssertionError(f"{where}: no bad token")
 
 
 def write_metis(graph: StaticGraph, path: str) -> None:

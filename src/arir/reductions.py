@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import ContractError, FoldRecord, StaticGraph, WorkingGraph
 
@@ -201,16 +202,33 @@ def rule_domination(W: WorkingGraph, v: int) -> bool:
     an optimum avoiding v then exists."""
     if not W.alive[v]:
         return False
-    dv = W.live_degree[v]
-    nbrs = sorted(W.alive_neighbors(v), key=lambda t: W.live_degree[t])
+    live_degree = W.live_degree
+    dv = live_degree[v]
+    nbrs = W.alive_neighbors(v)
+    # N[v], marked once; each candidate u scans its own list against it.
+    closed = set(nbrs)
+    closed.add(v)
+    nbrs.sort(key=live_degree.__getitem__)
+    alive = W.alive
+    adj = W.adj
+    steps = 0
+    fired = False
     for u in nbrs:
-        W.check_steps += 1
-        if W.live_degree[u] > dv:
+        steps += 1
+        if live_degree[u] > dv:
             break
-        if _closed_subset(W, u, v):
-            W.kill(v)
-            return True
-    return False
+        for t in adj[u]:
+            if alive[t]:
+                steps += 1
+                if t not in closed:
+                    break
+        else:
+            fired = True
+            break
+    W.check_steps += steps
+    if fired:
+        W.kill(v)
+    return fired
 
 
 def _dominates_neighbor(W: WorkingGraph, u: int) -> bool:
@@ -258,23 +276,28 @@ def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
 
 
 def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -> bool:
+    # A rule that does not fire changes nothing, so v's degree is read once
+    # and only the rules that can fire at it are called.
     W.check_steps += 2
-    if "zero" in rules and rule_zero_vertex(W, v, log):
-        return True
-    if "one" in rules and rule_one_vertex(W, v, log):
-        return True
-    if "triangle" in rules and rule_triangle(W, v, log):
-        return True
-    if "quadrilateral" in rules and rule_quadrilateral(W, v, log):
-        return True
-    if "fold" in rules and rule_fold2(W, v, log):
-        return True
-    if "fold_restricted" in rules:
-        if rule_fold2(W, v, log, restricted=True):
+    d = W.live_degree[v]
+    if d == 0:
+        if "zero" in rules and rule_zero_vertex(W, v, log):
             return True
-        # A drop of v's degree to 2 can enable a fold centered at a 2-vertex
-        # neighbor whose other neighbor already had degree 2.
-        if W.live_degree[v] == 2:
+    elif d == 1:
+        if "one" in rules and rule_one_vertex(W, v, log):
+            return True
+    elif d == 2:
+        if "triangle" in rules and rule_triangle(W, v, log):
+            return True
+        if "quadrilateral" in rules and rule_quadrilateral(W, v, log):
+            return True
+        if "fold" in rules and rule_fold2(W, v, log):
+            return True
+        if "fold_restricted" in rules:
+            if rule_fold2(W, v, log, restricted=True):
+                return True
+            # A drop of v's degree to 2 can enable a fold centered at a
+            # 2-vertex neighbor whose other neighbor already had degree 2.
             for u in W.alive_neighbors(v):
                 if W.live_degree[u] == 2 and rule_fold2(W, u, log, restricted=True):
                     return True
@@ -283,7 +306,7 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
             return True
         if _dominates_neighbor(W, v):
             return True
-    if "twin_edge" in rules and rule_twin_edge(W, v, log):
+    if d == 3 and "twin_edge" in rules and rule_twin_edge(W, v, log):
         return True
     return False
 
@@ -302,8 +325,8 @@ def run_to_fixpoint(
     log = ReductionLog()
     W.touched.clear()
     alive = W.alive
-    queue = deque(v for v in range(len(alive)) if alive[v])
-    in_queue = [True if alive[v] else False for v in range(len(alive))]
+    queue = deque(compress(range(len(alive)), alive))
+    in_queue = alive.copy()
     while queue:
         v = queue.popleft()
         in_queue[v] = False

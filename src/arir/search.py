@@ -13,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .graph import StaticGraph, WorkingGraph
 
@@ -96,9 +97,10 @@ class SolutionState:
         age = list(range(n))
         rng.shuffle(age)
         self._age = age
-        self._age_pos = [-1] * n
+        pos = [-1] * n
         for i, v in enumerate(age):
-            self._age_pos[v] = i
+            pos[v] = i
+        self._age_pos = pos
         self._age_head = 0
         self.free_count = len(age)
         self.swap_free = False
@@ -113,8 +115,7 @@ class SolutionState:
 
     def solution_set(self) -> set[int]:
         """The solution in working-graph ids."""
-        in_sol = self.in_sol
-        return {w for v, w in enumerate(self.view.ids) if in_sol[v]}
+        return set(compress(self.view.ids, self.in_sol))
 
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
@@ -381,17 +382,30 @@ class SolutionState:
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     """Build a maximal solution by repeatedly taking a minimum-degree vertex
     and deleting its closed neighborhood (on scratch counters); ties go to
-    the lowest id."""
+    the lowest id.
+
+    A bucket queue keeps one min-heap of ids per degree, and low is the
+    lowest degree whose bucket may be non-empty. Degrees only fall, so an
+    undecided vertex's entry at its current degree pops before its stale
+    ones, which are skipped once it is decided."""
     state = SolutionState(view, rng)
     adj = view.adjacency
     n = view.vertex_count
     deg = [len(a) for a in adj]
     status = bytearray(n)  # 0 undecided, 1 selected, 2 deleted
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapify(heap)
-    while heap:
-        d, v = heappop(heap)
-        if status[v] != 0 or d != deg[v]:
+    # Filled in ascending id, so every bucket starts out a valid heap.
+    buckets: list[list[int]] = [[] for _ in range(view.max_degree + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    low = 0
+    top = len(buckets)
+    while low < top:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
+            continue
+        v = heappop(bucket)
+        if status[v] != 0:
             continue
         status[v] = 1
         for u in adj[v]:
@@ -399,8 +413,11 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
                 status[u] = 2
                 for t in adj[u]:
                     if status[t] == 0:
-                        deg[t] -= 1
-                        heappush(heap, (deg[t], t))
+                        d = deg[t] - 1
+                        deg[t] = d
+                        heappush(buckets[d], t)
+                        if d < low:
+                            low = d
     for v in range(n):
         if status[v] == 1:
             state._insert(v)
@@ -456,5 +473,5 @@ def arw_block(state: SolutionState, m: int) -> BestTracker:
                 best_mask = bytes(state.in_sol)
                 best_size = state.size
         state.max_iter_touches = max_iter
-    best = {w for v, w in enumerate(state.view.ids) if best_mask[v]}
+    best = set(compress(state.view.ids, best_mask))
     return BestTracker(best_set=best, best_size=best_size)

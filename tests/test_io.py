@@ -57,6 +57,12 @@ def test_metis_rejects_unpaired_neighbors(tmp_path):
         "asymmetric": ("3 2\n2\n1 3\n\n", "both ends"),
         "repeated": ("2 1\n2 2\n1\n", "both ends"),
         "self": ("2 1\n1 2\n1\n", "line 2: vertex 1 lists itself"),
+        "one_sided": ("4 2\n2 3\n1\n\n\n", "vertex 1 lists 3, but 3 does not list 1"),
+        # Their entries number twice the edge count: a repeat stands in for
+        # the other end's missing entry, or every edge of a directed triangle
+        # is listed twice from one end.
+        "repeat_for_missing_end": ("2 1\n2 2\n\n", "line 2: neighbor 2 listed twice"),
+        "directed_triangle": ("3 3\n2 2\n3 3\n1 1\n", "line 2: neighbor 2 listed twice"),
     }
     for name, (text, message) in cases.items():
         target = tmp_path / f"{name}.graph"

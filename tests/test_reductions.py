@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import arir.reductions as reductions
 from arir import (
     ContractError,
     ReductionLog,
@@ -167,6 +168,45 @@ def test_domination_noop_on_c5():
         assert not rule_domination(w, v)
 
 
+def dominated_by_a_neighbor(w, v):
+    """Reference: some alive u in N(v) has deg(u) <= deg(v) and N[u] inside N[v]."""
+    closed_v = set(w.alive_neighbors(v)) | {v}
+    return any(
+        len(w.alive_neighbors(u)) <= len(closed_v) - 1
+        and set(w.alive_neighbors(u)) | {u} <= closed_v
+        for u in w.alive_neighbors(v)
+    )
+
+
+def test_domination_matches_reference_after_kills_and_folds():
+    rng = random.Random(53)
+    fires = misses = 0
+    for _ in range(60):
+        w = WorkingGraph(gnp(rng.randint(4, 40), rng.uniform(0.05, 0.5), rng))
+        for _ in range(rng.randint(0, 10)):
+            alive = w.alive_vertices()
+            if not alive:
+                break
+            v = rng.choice(alive)
+            if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
+                w.fold_degree2(v)
+            else:
+                w.kill(v)
+        order = list(range(len(w.alive)))
+        rng.shuffle(order)
+        for v in order:
+            expected = w.alive[v] and dominated_by_a_neighbor(w, v)
+            before = w.alive_count
+            assert rule_domination(w, v) == expected
+            # A fire removes v and nothing else.
+            assert w.alive_count == before - expected
+            assert not (expected and w.alive[v])
+            w.audit()
+            fires += expected
+            misses += not expected
+    assert fires > 50 and misses > 50
+
+
 def twin_gadget(extra_edges):
     # Vertices 3 and 4 both see exactly {0, 1, 2}.
     base = [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]
@@ -229,6 +269,79 @@ def test_fixpoint_idempotent():
         assert not fixed2 and len(log2) == 0
         # Domination leaves no log record; a second fire would kill a vertex.
         assert w.alive_count == alive
+
+
+def ungated_apply_first(W, v, rules, log):
+    """Reference: try every rule of the tier in order, whatever v's degree."""
+    W.check_steps += 2
+    if "zero" in rules and reductions.rule_zero_vertex(W, v, log):
+        return True
+    if "one" in rules and reductions.rule_one_vertex(W, v, log):
+        return True
+    if "triangle" in rules and reductions.rule_triangle(W, v, log):
+        return True
+    if "quadrilateral" in rules and reductions.rule_quadrilateral(W, v, log):
+        return True
+    if "fold" in rules and reductions.rule_fold2(W, v, log):
+        return True
+    if "fold_restricted" in rules:
+        if reductions.rule_fold2(W, v, log, restricted=True):
+            return True
+        if W.live_degree[v] == 2:
+            for u in W.alive_neighbors(v):
+                if W.live_degree[u] == 2 and reductions.rule_fold2(
+                    W, u, log, restricted=True
+                ):
+                    return True
+    if "domination" in rules:
+        if reductions.rule_domination(W, v) or reductions._dominates_neighbor(W, v):
+            return True
+    return "twin_edge" in rules and reductions.rule_twin_edge(W, v, log)
+
+
+def test_degree_gating_matches_ungated_rule_order(monkeypatch):
+    # Sparse graphs with twin pairs, so every rule fires somewhere.
+    rng = random.Random(59)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(8, 60)
+        m = rng.randint(n, 2 * n)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
+        for _ in range(rng.randint(0, 3)):
+            a, b, c, x, y = rng.sample(range(n), 5)
+            edges += [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b)]
+        graphs.append(build_graph(edges, vertex_count_hint=n))
+    graphs += [gnp(rng.randint(5, 40), rng.uniform(0.05, 0.4), rng) for _ in range(20)]
+    # Fires per rule, counted on both sides, so each rule is exercised.
+    names = (
+        "rule_zero_vertex",
+        "rule_one_vertex",
+        "rule_triangle",
+        "rule_quadrilateral",
+        "rule_fold2",
+        "rule_domination",
+        "_dominates_neighbor",
+        "rule_twin_edge",
+    )
+    fires = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, rule=getattr(reductions, name), name=name, **kwargs):
+            fired = rule(*args, **kwargs)
+            fires[name] += fired
+            return fired
+
+        monkeypatch.setattr(reductions, name, counted)
+    for tier in ("simple", "advanced", "light"):
+        for g in graphs:
+            outcomes = []
+            for apply in (reductions._apply_first, ungated_apply_first):
+                with monkeypatch.context() as m:
+                    m.setattr(reductions, "_apply_first", apply)
+                    w = WorkingGraph(g)
+                    _, log = run_to_fixpoint(w, tier)
+                outcomes.append((log.to_lines(), w.alive, w.adj, w.check_steps))
+            assert outcomes[0] == outcomes[1]
+    assert all(fires.values()), fires
 
 
 @pytest.mark.parametrize("tier", ["simple", "advanced", "light"])

@@ -1,4 +1,7 @@
+import heapq
+import importlib.util
 import random
+from pathlib import Path
 
 import arir.search
 from arir import WorkingGraph, build_graph, exact_mis
@@ -21,9 +24,15 @@ from helpers import (
     is_maximal,
     path,
     petersen,
+    random_tree,
     star,
     view_of,
 )
+
+_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
+bench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 def fresh_state(g, seed=0):
@@ -57,6 +66,61 @@ def test_greedy_star_picks_leaves():
 def test_greedy_c5_size2():
     state = fresh_state(cycle(5))
     assert state.size == 2
+
+
+def tuple_heap_greedy(adj):
+    """Reference greedy: one heap of (degree, id) tuples with lazy deletion;
+    take the lowest-degree, then lowest-id, undecided vertex and delete its
+    closed neighbourhood."""
+    deg = [len(a) for a in adj]
+    status = [0] * len(adj)
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if status[v] != 0 or d != deg[v]:
+            continue
+        status[v] = 1
+        for u in adj[v]:
+            if status[u] == 0:
+                status[u] = 2
+                for t in adj[u]:
+                    if status[t] == 0:
+                        deg[t] -= 1
+                        heapq.heappush(heap, (deg[t], t))
+    return {v for v, s in enumerate(status) if s == 1}
+
+
+def test_greedy_matches_tuple_heap_reference():
+    rng = random.Random(43)
+    graphs = [star(5), cycle(7), path(6), petersen(), complete(5)]
+    for _ in range(30):
+        graphs.append(gnp(rng.randint(1, 60), rng.uniform(0.02, 0.4), rng))
+        graphs.append(random_tree(rng.randint(1, 60), rng))
+    # The benchmark's generators at small sizes.
+    instances = [bench_gen.mesh(side, rng) for side in (1, 2, 5, 12, 30)]
+    instances += [bench_gen.gnm(n, 3 * n // 2, rng) for n in (30, 200, 500)]
+    for n, edges in instances:
+        graphs.append(build_graph(edges, vertex_count_hint=n))
+    for g in graphs:
+        view = view_of(g)
+        expected = tuple_heap_greedy(view.adjacency)
+        assert fresh_state(g).solution_set() == expected
+    # Snapshots with gaps in their ids, after random kills and folds.
+    for trial in range(30):
+        w = WorkingGraph(gnp(rng.randint(5, 50), rng.uniform(0.05, 0.3), rng))
+        for _ in range(rng.randint(1, 10)):
+            alive = w.alive_vertices()
+            if not alive:
+                break
+            v = rng.choice(alive)
+            if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
+                w.fold_degree2(v)
+            else:
+                w.kill(v)
+        view = LiveView.from_working(w)
+        expected = {view.ids[v] for v in tuple_heap_greedy(view.adjacency)}
+        assert greedy_init(view, random.Random(trial)).solution_set() == expected
 
 
 def test_greedy_random_is_maximal_independent():

@@ -2,11 +2,20 @@ import random
 
 import pytest
 
-from arir import ReductionLog, RunConfig, WorkingGraph, extend_solution, run
+import arir.solver
+from arir import (
+    ContractError,
+    ReductionLog,
+    RunConfig,
+    WorkingGraph,
+    extend_solution,
+    run,
+)
 from arir.search import LiveView, arw_block, greedy_init
 from arir.solver import (
     AdaptiveState,
     RoundState,
+    _verify_final,
     adaptive_test,
     restart_round,
     rir_reduce,
@@ -164,7 +173,6 @@ def test_restart_round_composite_independent_randoms():
         rs, rrng = _round_state(g, seed=trial)
         rs.record()
         rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rrng)
-        # restart_round asserts independence internally; double-check here.
         lifted = extend_solution(rs.current_best, rs.round_log) | rs.S
         assert is_independent(g, lifted)
 
@@ -197,6 +205,80 @@ def test_restart_lift_matches_round_accounting():
             folds += rs.round_log.fold_count
             fixed_by_intersection += len(rs.S)
     assert folds > 0 and fixed_by_intersection > 0
+
+
+def test_restarts_leave_the_frozen_kernel_unchanged():
+    # Folds copy a shared list the first time they extend it and append in
+    # place afterwards; neither may write to the frozen kernel's lists.
+    rng = random.Random(67)
+    cfg = RunConfig(variant="arir3").validated()
+    in_place = 0
+    for trial in range(30):
+        n = rng.randint(20, 80)
+        g = gnp(n, rng.uniform(1.5, 3.0) / n, rng)
+        before = [list(a) for a in g.adjacency]
+        rs, rrng = _round_state(g, seed=trial)
+        for _ in range(8):
+            tracker = arw_block(rs.state, 5)
+            if tracker.best_size > len(rs.current_best):
+                rs.current_best = tracker.best_set
+            rs.record()
+            rs = restart_round(g, rs, cfg, rrng)
+            # A list that grew by two or more was appended to in place.
+            in_place += sum(
+                len(rs.working.adj[v]) - len(a) >= 2 for v, a in enumerate(before)
+            )
+        assert g.adjacency == before
+    assert in_place > 0
+
+
+def test_restart_lifts_its_round_once(monkeypatch):
+    # After a restart, the new round's best is lifted once: that lift is both
+    # checked independent and compared against the best of all rounds.
+    events = []
+    lift, restart, block = (
+        arir.solver.extend_solution,
+        arir.solver.restart_round,
+        arir.solver.arw_block,
+    )
+
+    def counted_lift(solution, log, *args, **kwargs):
+        # The final lift through the kernel log is not a round's.
+        if log.kernel_map is None:
+            events.append("lift")
+        return lift(solution, log, *args, **kwargs)
+
+    def counted_restart(*args):
+        events.append("restart")
+        return restart(*args)
+
+    def counted_block(*args):
+        events.append("block")
+        return block(*args)
+
+    monkeypatch.setattr(arir.solver, "extend_solution", counted_lift)
+    monkeypatch.setattr(arir.solver, "restart_round", counted_restart)
+    monkeypatch.setattr(arir.solver, "arw_block", counted_block)
+    g = gnp(60, 0.1, random.Random(71))
+    result = run(g, RunConfig(variant="arir3", m=10, n=10, max_blocks=80, seed=2))
+    assert result.stats["restarts"] > 3
+    assert events.count("restart") == result.stats["restarts"]
+    for i, event in enumerate(events):
+        if event == "restart":
+            rest = events[i + 1 :] + ["block"]
+            assert rest[: rest.index("block")] == ["lift"]
+
+
+def test_verify_final_rejects_an_edge_and_a_free_vertex():
+    g = path(5)
+    _verify_final(g, {0, 2, 4})
+    _verify_final(g, {1, 3})
+    with pytest.raises(ContractError, match="edge"):
+        _verify_final(g, {0, 1, 3})
+    with pytest.raises(ContractError, match="vertex 4 is free"):
+        _verify_final(g, {0, 2})
+    with pytest.raises(ContractError, match="vertex 0 is free"):
+        _verify_final(g, {2, 4})
 
 
 @pytest.mark.parametrize("variant", ["arir1", "arir2", "arir3", "arw"])
