@@ -8,7 +8,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .io import read_graph
 from .solver import RunConfig, run
@@ -20,15 +20,20 @@ CSV_COLUMNS = ("instance", "variant", "runs", "max", "avg", "avg_time_to_best_s"
 
 @dataclass(slots=True)
 class BenchEntry:
+    """One manifest entry. config carries the entry's run settings; each
+    task sets its own variant and seed on a copy."""
+
     instance_path: str
-    cutoff_s: float
     variants: list[str]
     seeds: list[int]
+    config: RunConfig
     format: str = "auto"
     index_base: str = "auto"
-    m: int = 10_000
-    n: int | None = None
-    max_blocks: int | None = None
+
+
+# Optional manifest keys that set the RunConfig field of the same name; an
+# absent key keeps RunConfig's default. The required cutoff_s sets cutoff_seconds.
+_CONFIG_KEYS = ("m", "n", "max_blocks")
 
 
 @dataclass(slots=True)
@@ -36,9 +41,9 @@ class BenchRow:
     instance: str
     variant: str
     runs: int
-    max_size: int | None
-    avg_size: float | None
-    avg_time_to_best: float | None
+    max_size: int | None = None
+    avg_size: float | None = None
+    avg_time_to_best: float | None = None
     error: str | None = None
 
 
@@ -51,7 +56,11 @@ def load_manifest(path: str) -> list[BenchEntry]:
     entries = []
     for i, item in enumerate(raw):
         try:
-            entry = BenchEntry(**item)
+            if "cutoff_s" not in item:
+                raise TypeError("missing required key 'cutoff_s'")
+            settings = {k: item.pop(k) for k in _CONFIG_KEYS if k in item}
+            config = RunConfig(cutoff_seconds=item.pop("cutoff_s"), **settings)
+            entry = BenchEntry(config=config, **item)
         except TypeError as exc:
             raise ValueError(f"{path}: entry {i}: {exc}") from None
         if not entry.seeds:
@@ -66,23 +75,18 @@ def load_manifest(path: str) -> list[BenchEntry]:
     return entries
 
 
-def _bench_task(payload: tuple) -> tuple[str, str, int, dict | None, str | None]:
-    path, fmt, base, variant, seed, cutoff, m, n, max_blocks = payload
-    name = os.path.splitext(os.path.basename(path))[0]
+def _bench_task(
+    task: tuple[BenchEntry, RunConfig],
+) -> tuple[str, RunConfig, dict | None, str | None]:
+    entry, config = task
+    name = os.path.splitext(os.path.basename(entry.instance_path))[0]
     try:
-        graph = read_graph(path, fmt=fmt, index_base=base)
-        config = RunConfig(
-            variant=variant,
-            m=m,
-            n=n,
-            cutoff_seconds=cutoff,
-            seed=seed,
-            max_blocks=max_blocks,
+        graph = read_graph(
+            entry.instance_path, fmt=entry.format, index_base=entry.index_base
         )
-        result = run(graph, config)
-        return (name, variant, seed, result.stats, None)
+        return (name, config, run(graph, config).stats, None)
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        return (name, variant, seed, None, str(exc))
+        return (name, config, None, str(exc))
 
 
 def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
@@ -91,23 +95,12 @@ def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
     A failing instance yields error rows for its variants; other instances
     continue. Rows come back sorted by instance name then variant.
     """
-    tasks = []
-    for entry in entries:
-        for variant in entry.variants:
-            for seed in entry.seeds:
-                tasks.append(
-                    (
-                        entry.instance_path,
-                        entry.format,
-                        entry.index_base,
-                        variant,
-                        seed,
-                        entry.cutoff_s,
-                        entry.m,
-                        entry.n,
-                        entry.max_blocks,
-                    )
-                )
+    tasks = [
+        (entry, replace(entry.config, variant=variant, seed=seed))
+        for entry in entries
+        for variant in entry.variants
+        for seed in entry.seeds
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_bench_task, tasks))
@@ -116,11 +109,13 @@ def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
 
     grouped: dict[tuple[str, str], list] = {}
     failures: dict[tuple[str, str], str] = {}
-    for name, variant, seed, stats, error in outcomes:
-        key = (name, variant)
+    for name, config, stats, error in outcomes:
+        key = (name, config.variant)
         if error is not None:
             failures[key] = error
-            log.error("%s/%s seed %d failed: %s", name, variant, seed, error)
+            log.error(
+                "%s/%s seed %d failed: %s", name, config.variant, config.seed, error
+            )
             continue
         grouped.setdefault(key, []).append(stats)
 
@@ -128,17 +123,7 @@ def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
     for key in sorted(set(grouped) | set(failures)):
         name, variant = key
         if key in failures:
-            rows.append(
-                BenchRow(
-                    instance=name,
-                    variant=variant,
-                    runs=0,
-                    max_size=None,
-                    avg_size=None,
-                    avg_time_to_best=None,
-                    error=failures[key],
-                )
-            )
+            rows.append(BenchRow(name, variant, runs=0, error=failures[key]))
             continue
         stats = grouped[key]
         sizes = [s["best_size"] for s in stats]

@@ -9,7 +9,7 @@ import os
 import sys
 
 from .bench import load_manifest, run_bench, write_csv
-from .graph import ContractError
+from .graph import ContractError, edge_inside, free_vertex
 from .io import ParseError, read_graph, read_solution, write_metis, write_solution
 from .oracle import exact_mis
 from .reductions import RULESETS, kernelize
@@ -44,12 +44,16 @@ def _setup_logging() -> None:
     log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
 
 
-def _add_input_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="instance file")
+def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("metis", "edgelist", "auto"), default="auto"
     )
     parser.add_argument("--index-base", choices=("0", "1", "auto"), default="auto")
+
+
+def _add_input_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, help="instance file")
+    _add_format_args(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,15 +64,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     _add_input_args(p_solve)
-    p_solve.add_argument("--variant", choices=VARIANTS, default="arir2")
-    p_solve.add_argument("--time-limit", type=float, default=10.0, metavar="SECONDS")
-    p_solve.add_argument("--seed", type=int, default=1)
-    p_solve.add_argument("--m", type=int, default=10_000)
-    p_solve.add_argument("--adapt-n", type=int, default=100_000)
+    defaults = RunConfig()
+    p_solve.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
+    p_solve.add_argument(
+        "--time-limit",
+        type=float,
+        default=defaults.cutoff_seconds,
+        metavar="SECONDS",
+    )
+    p_solve.add_argument("--seed", type=int, default=defaults.seed)
+    p_solve.add_argument("--m", type=int, default=defaults.m)
+    p_solve.add_argument(
+        "--adapt-n",
+        type=int,
+        default=defaults.n,
+        help="stagnation-test period in iterations (default: 10 * --m)",
+    )
     p_solve.add_argument(
         "--max-blocks",
         type=int,
-        default=None,
+        default=defaults.max_blocks,
         help="stop after this many search blocks instead of a wall-clock cutoff",
     )
     p_solve.add_argument("--emit-solution", metavar="PATH")
@@ -81,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a solution file")
     p_verify.add_argument("graph_path")
     p_verify.add_argument("solution_path")
-    p_verify.add_argument(
-        "--format", choices=("metis", "edgelist", "auto"), default="auto"
-    )
-    p_verify.add_argument("--index-base", choices=("0", "1", "auto"), default="auto")
+    _add_format_args(p_verify)
 
     p_kern = sub.add_parser("kernelize", help="reduce an instance to its kernel")
     _add_input_args(p_kern)
@@ -152,18 +164,8 @@ def cmd_verify(args) -> int:
         if not 0 <= v < graph.vertex_count:
             print(f"error: vertex id {v} out of range", file=sys.stderr)
             return 2
-    independent = True
-    for v in solution:
-        for u in graph.adjacency[v]:
-            if u in solution:
-                independent = False
-                break
-        if not independent:
-            break
-    maximal = independent and all(
-        v in solution or any(u in solution for u in graph.adjacency[v])
-        for v in range(graph.vertex_count)
-    )
+    independent = edge_inside(graph, solution) is None
+    maximal = independent and free_vertex(graph, solution) is None
     print(
         f"size={len(solution)} independent={'true' if independent else 'false'} "
         f"maximal={'true' if maximal else 'false'}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 
 class ContractError(RuntimeError):
@@ -60,6 +60,43 @@ class StaticGraph:
 
     def __repr__(self) -> str:
         return f"StaticGraph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def edge_inside(graph: StaticGraph, vertices: set[int]) -> tuple[int, int] | None:
+    """An edge of graph with both ends in vertices, or None if vertices is
+    independent."""
+    adjacency = graph.adjacency
+    if vertices.isdisjoint(chain.from_iterable(map(adjacency.__getitem__, vertices))):
+        return None
+    return next((v, u) for v in vertices for u in adjacency[v] if u in vertices)
+
+
+def free_vertex(graph: StaticGraph, vertices: set[int]) -> int | None:
+    """The smallest vertex of graph that is neither in vertices nor adjacent
+    to one of them, or None if vertices leaves no vertex free."""
+    # Mark the closed neighbourhood of vertices; an unmarked vertex is free.
+    covered = bytearray(graph.vertex_count)
+    adjacency = graph.adjacency
+    for v in vertices:
+        covered[v] = 1
+        for u in adjacency[v]:
+            covered[u] = 1
+    free = covered.find(0)
+    return None if free < 0 else free
+
+
+def check_solution(
+    graph: StaticGraph, vertices: set[int], maximal: bool = True
+) -> None:
+    """Raise ContractError unless vertices is independent in graph and, if
+    maximal is set, leaves no vertex free."""
+    edge = edge_inside(graph, vertices)
+    if edge is not None:
+        raise ContractError(f"solution carries edge {edge[0]}-{edge[1]}")
+    if maximal:
+        free = free_vertex(graph, vertices)
+        if free is not None:
+            raise ContractError(f"solution is not maximal: vertex {free} is free")
 
 
 def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:

@@ -8,8 +8,8 @@ from .graph import StaticGraph, build_graph
 
 _MAX_ID = 2**63 - 1
 
-_METIS_EXTENSIONS = {".graph", ".metis", ".mtx.graph"}
-_EDGELIST_EXTENSIONS = {".edges", ".edgelist", ".el", ".txt", ".mtx"}
+_METIS_EXTENSIONS = {".graph", ".metis"}
+_EDGELIST_EXTENSIONS = {".edges", ".edgelist", ".el", ".txt"}
 
 
 class ParseError(ValueError):

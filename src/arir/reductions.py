@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import ContractError, FoldRecord, StaticGraph, WorkingGraph
+from .graph import FoldRecord, StaticGraph, WorkingGraph, check_solution
 
 RULESETS = {
     "simple": frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"}),
@@ -103,7 +103,10 @@ class KernelResult:
     fold_count: int
 
     def extend(self, kernel_solution: set[int]) -> set[int]:
-        return extend_solution(kernel_solution, self.log, kernel=self.kernel)
+        """Lift a kernel solution to the input graph; raise ContractError if
+        it is not independent in the kernel."""
+        check_solution(self.kernel, kernel_solution, maximal=False)
+        return extend_solution(kernel_solution, self.log)
 
 
 def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
@@ -358,24 +361,13 @@ def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
     )
 
 
-def extend_solution(
-    kernel_solution: set[int],
-    log: ReductionLog,
-    kernel: StaticGraph | None = None,
-) -> set[int]:
+def extend_solution(kernel_solution: set[int], log: ReductionLog) -> set[int]:
     """Lift a kernel solution back through the log.
 
     Replayed in reverse: a fixed vertex rejoins the solution, a fold resolves
-    to its merged pair or its folded center. The
-    result gains exactly fixed_count + fold_count vertices.
+    to its merged pair or its folded center. The result gains exactly
+    fixed_count + fold_count vertices.
     """
-    if kernel is not None:
-        for v in kernel_solution:
-            for u in kernel.adjacency[v]:
-                if u in kernel_solution:
-                    raise ContractError(
-                        f"kernel solution is not independent: edge {v}-{u}"
-                    )
     if log.kernel_map is not None:
         kmap = log.kernel_map
         solution = {kmap[v] for v in kernel_solution}

@@ -15,9 +15,8 @@ import logging
 import random
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
 
-from .graph import ContractError, StaticGraph, WorkingGraph
+from .graph import StaticGraph, WorkingGraph, check_solution
 from .reductions import (
     ReductionLog,
     extend_solution,
@@ -100,9 +99,10 @@ def rir_reduce(
     always starts from the frozen kernel, never from a previous reduction."""
     S = set(intersection) if intersection is not None else set()
     working = WorkingGraph(frozen_kernel)
-    for v in sorted(S):
-        if working.alive[v]:
-            working.delete_closed_neighborhood(v)
+    # S is independent in the frozen kernel, so each v in S is still alive
+    # when reached, and the result does not depend on the order.
+    for v in S:
+        working.delete_closed_neighborhood(v)
     working.touched.clear()
     return S, working
 
@@ -151,14 +151,6 @@ class RoundState:
         lifted = extend_solution(solution, self.round_log)
         lifted |= self.S
         return lifted
-
-
-def _assert_independent(graph: StaticGraph, solution: set[int]) -> None:
-    adjacency = graph.adjacency
-    if solution.isdisjoint(chain.from_iterable(map(adjacency.__getitem__, solution))):
-        return
-    v, u = next((v, u) for v in solution for u in adjacency[v] if u in solution)
-    raise ContractError(f"solution carries edge {v}-{u}")
 
 
 def restart_round(
@@ -246,13 +238,13 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         lifted = rs.lift(rs.current_best)
         if restart:
             # The new round's one lift is checked here, not in restart_round.
-            _assert_independent(GK, lifted)
+            check_solution(GK, lifted, maximal=False)
         if len(lifted) > len(best):
             best = lifted
             t_best = time.perf_counter() - t_start
 
     solution = extend_solution(best, kern.log)
-    _verify_final(graph, solution)
+    check_solution(graph, solution)
     stats = {
         "variant": cfg.variant,
         "seed": cfg.seed,
@@ -267,16 +259,3 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     }
     return RunResult(solution=solution, stats=stats)
 
-
-def _verify_final(graph: StaticGraph, solution: set[int]) -> None:
-    _assert_independent(graph, solution)
-    # Mark the solution's closed neighbourhood; an unmarked vertex is free.
-    covered = bytearray(graph.vertex_count)
-    adjacency = graph.adjacency
-    for v in solution:
-        covered[v] = 1
-        for u in adjacency[v]:
-            covered[u] = 1
-    free = covered.find(0)
-    if free >= 0:
-        raise ContractError(f"solution is not maximal: vertex {free} is free")

@@ -1,9 +1,19 @@
 import json
 
-from arir import ReductionLog, extend_solution
+import arir.cli
+from arir import ReductionLog, RunResult, extend_solution
 from arir.cli import main
 from arir.io import write_metis, write_solution
-from helpers import complete, cycle, is_independent, path, petersen, random_tree
+from helpers import (
+    complete,
+    cycle,
+    gnp,
+    is_independent,
+    is_maximal,
+    path,
+    petersen,
+    random_tree,
+)
 
 import random
 
@@ -84,6 +94,20 @@ def test_solve_bad_config_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_adapt_n_defaults_to_ten_m(tmp_path, monkeypatch, capsys):
+    graph_path = metis_file(tmp_path, cycle(5), "c5.graph")
+    configs = []
+
+    def capture(graph, config):
+        configs.append(config)
+        return RunResult(solution={0, 2}, stats={})
+
+    monkeypatch.setattr(arir.cli, "run", capture)
+    assert main(["solve", "--input", graph_path, "--m", "20"]) == 0
+    capsys.readouterr()
+    assert configs[0].m == 20 and configs[0].n == 200
+
+
 def test_verify_cases(tmp_path, capsys):
     p3 = metis_file(tmp_path, path(3), "p3.graph")
     good = str(tmp_path / "good.sol")
@@ -108,6 +132,27 @@ def test_verify_cases(tmp_path, capsys):
     write_solution({9}, oob)
     assert main(["verify", p3, oob]) == 2
     capsys.readouterr()
+
+
+def test_verify_matches_brute_force_checks(tmp_path, capsys):
+    rng = random.Random(8)
+    for trial in range(40):
+        g = gnp(rng.randint(1, 14), rng.uniform(0.0, 0.6), rng)
+        graph_path = metis_file(tmp_path, g, f"g{trial}.graph")
+        sol_path = str(tmp_path / f"g{trial}.sol")
+        for _ in range(10):
+            sol = {v for v in range(g.vertex_count) if rng.random() < 0.4}
+            write_solution(sol, sol_path)
+            independent = is_independent(g, sol)
+            maximal = independent and is_maximal(g, sol)
+            rc = main(["verify", graph_path, sol_path])
+            out = capsys.readouterr().out.split()
+            assert rc == (0 if independent else 1)
+            assert out == [
+                f"size={len(sol)}",
+                f"independent={str(independent).lower()}",
+                f"maximal={str(maximal).lower()}",
+            ]
 
 
 def test_kernelize_tree(tmp_path, capsys):

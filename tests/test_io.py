@@ -125,6 +125,14 @@ def test_read_graph_format_dispatch(tmp_path):
         read_graph(str(unknown))
 
 
+def test_matrix_market_needs_an_explicit_format(tmp_path):
+    # Neither reader understands Matrix Market, so .mtx is not guessed.
+    target = tmp_path / "x.mtx"
+    target.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n2 1\n")
+    with pytest.raises(ParseError, match="'.mtx'; pass --format explicitly"):
+        read_graph(str(target))
+
+
 def test_solution_round_trip(tmp_path):
     target = tmp_path / "s.sol"
     write_solution({4, 1, 9}, str(target))

@@ -346,7 +346,7 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
 
 @pytest.mark.parametrize("tier", ["simple", "advanced", "light"])
 def test_alpha_preservation_small(tier):
-    rng = random.Random(hash(tier) & 0xFFFF)
+    rng = random.Random(f"alpha:{tier}")
     for _ in range(60):
         g = gnp(rng.randint(2, 18), rng.uniform(0.05, 0.6), rng)
         before = [list(a) for a in g.adjacency]
@@ -362,10 +362,21 @@ def test_alpha_preservation_small(tier):
         assert g.adjacency == before
 
 
-def test_extend_rejects_dependent_input():
+def test_extend_rejects_dependent_input(monkeypatch):
     result = kernelize(complete(4), "simple")
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="solution carries edge [01]-[01]"):
         result.extend({0, 1})
+    # The check is the shared one, run on the kernel before the lift.
+    calls = []
+    check = reductions.check_solution
+
+    def spy(graph, vertices, maximal=True):
+        calls.append((graph, set(vertices), maximal))
+        check(graph, vertices, maximal)
+
+    monkeypatch.setattr(reductions, "check_solution", spy)
+    assert result.extend({2}) == {2}
+    assert calls == [(result.kernel, {2}, False)]
 
 
 def test_check_cost_linear_in_nu_delta():
