@@ -48,7 +48,9 @@ class BenchRow:
 
 
 def load_manifest(path: str) -> list[BenchEntry]:
-    """Parse and validate a manifest: a JSON list of entry objects."""
+    """Parse and validate a manifest: a JSON list of entry objects. Every
+    entry's run settings are checked for each of its variants, so a bad entry
+    fails here, before any graph is read."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -61,16 +63,19 @@ def load_manifest(path: str) -> list[BenchEntry]:
             settings = {k: item.pop(k) for k in _CONFIG_KEYS if k in item}
             config = RunConfig(cutoff_seconds=item.pop("cutoff_s"), **settings)
             entry = BenchEntry(config=config, **item)
-        except TypeError as exc:
+            seeds, variants = entry.seeds, entry.variants
+            if not (isinstance(seeds, list) and seeds) or any(
+                type(seed) is not int for seed in seeds
+            ):
+                raise ValueError("seeds must be a non-empty list of ints")
+            if not (isinstance(variants, list) and variants):
+                raise ValueError("variants must be a non-empty list")
+            for variant in variants:
+                replace(config, variant=variant).validated()
+            if not os.path.exists(entry.instance_path):
+                raise ValueError(f"instance {entry.instance_path} not found")
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: entry {i}: {exc}") from None
-        if not entry.seeds:
-            raise ValueError(f"{path}: entry {i}: seeds must be non-empty")
-        if not entry.variants:
-            raise ValueError(f"{path}: entry {i}: variants must be non-empty")
-        if not os.path.exists(entry.instance_path):
-            raise ValueError(
-                f"{path}: entry {i}: instance {entry.instance_path} not found"
-            )
         entries.append(entry)
     return entries
 

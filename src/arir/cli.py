@@ -17,20 +17,6 @@ from .solver import VARIANTS, RunConfig, run
 
 log = logging.getLogger("arir")
 
-STATS_KEYS = (
-    "instance",
-    "variant",
-    "seed",
-    "cutoff_s",
-    "best_size",
-    "time_to_best_s",
-    "rounds",
-    "restarts",
-    "kernel_vertices",
-    "fixed_by_kernel",
-)
-
-
 def _setup_logging() -> None:
     level = os.environ.get("ARIR_LOG", "off").lower()
     if level == "off":
@@ -129,9 +115,8 @@ def cmd_solve(args) -> int:
     except ContractError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    record = {"instance": os.path.splitext(os.path.basename(args.input))[0]}
-    record.update({k: result.stats.get(k) for k in STATS_KEYS if k != "instance"})
-    print(json.dumps(record))
+    stem = os.path.splitext(os.path.basename(args.input))[0]
+    print(json.dumps({"instance": stem, **result.stats}))
     if args.emit_solution:
         write_solution(result.solution, args.emit_solution)
     return 0

@@ -4,7 +4,6 @@ that supports vertex deletion and degree-2 folding."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain, compress
 
 
@@ -129,17 +128,6 @@ def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
     return StaticGraph([sorted(s) for s in nbr])
 
 
-@dataclass(frozen=True, slots=True)
-class FoldRecord:
-    """Bookkeeping for one degree-2 fold: `folded` had exactly the two
-    non-adjacent neighbors in `merged`, which were contracted into
-    `new_vertex`."""
-
-    new_vertex: int
-    folded: int
-    merged: tuple[int, int]
-
-
 class WorkingGraph:
     """Mutable view over a StaticGraph supporting deletion and folding.
 
@@ -207,9 +195,10 @@ class WorkingGraph:
             self.kill(u)
         self.kill(v)
 
-    def fold_degree2(self, u: int) -> FoldRecord:
+    def fold_degree2(self, u: int) -> int:
         """Contract degree-2 vertex u and its two non-adjacent neighbors into
-        a fresh vertex adjacent to the union of their other neighbors."""
+        a fresh vertex adjacent to the union of their other neighbors; return
+        the fresh vertex's id."""
         if not self.alive[u]:
             raise ContractError(f"vertex {u} is dead")
         nbrs = self.alive_neighbors(u)
@@ -247,7 +236,7 @@ class WorkingGraph:
             live_degree[t] += 1
             touched.append(t)
         touched.append(x)
-        return FoldRecord(new_vertex=x, folded=u, merged=(v, w))
+        return x
 
     def alive_vertices(self) -> list[int]:
         return list(compress(range(len(self.alive)), self.alive))

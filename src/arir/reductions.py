@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import FoldRecord, StaticGraph, WorkingGraph, check_solution
+from .graph import StaticGraph, WorkingGraph, check_solution
 
 RULESETS = {
     "simple": frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"}),
@@ -25,51 +25,60 @@ RULESETS = {
 
 
 @dataclass(frozen=True, slots=True)
-class FixedInSolution:
-    """Vertex forced into the solution."""
+class FoldRecord:
+    """One degree-2 fold: `folded` had exactly the two non-adjacent neighbors
+    in `merged`, which were contracted into `new_vertex`."""
 
-    vertex: int
+    new_vertex: int
+    folded: int
+    merged: tuple[int, int]
 
 
 class ReductionLog:
-    """Ordered undo records; replaying in reverse lifts a kernel solution
-    back to the graph the log was produced on."""
+    """Undo log of one reduction run: the vertices fixed into the solution
+    and the folds, each list in the order the rules wrote it. Lifting a
+    kernel solution through it gives a solution of the graph the log was
+    produced on.
 
-    __slots__ = ("records", "fixed_count", "fold_count", "kernel_map")
+    No vertex is both fixed and consumed by a fold. A fixed vertex is dead
+    from the moment it is fixed; a fold consumes three vertices that were
+    alive when it ran, and only a fold's new vertex can be fixed later. So
+    the fixed vertices need no common order with the folds: a lift adds them
+    all at once and then undoes the folds in reverse.
+    """
+
+    __slots__ = ("fixed", "folds", "kernel_map")
 
     def __init__(self):
-        self.records: list[FixedInSolution | FoldRecord] = []
-        self.fixed_count = 0
-        self.fold_count = 0
+        self.fixed: list[int] = []
+        self.folds: list[FoldRecord] = []
         # kernel id -> pre-compaction universe id, set when the alive
         # subgraph was frozen and renumbered.
         self.kernel_map: list[int] | None = None
 
-    def add_fixed(self, vertex: int) -> None:
-        self.records.append(FixedInSolution(vertex))
-        self.fixed_count += 1
+    @property
+    def fixed_count(self) -> int:
+        return len(self.fixed)
 
-    def add_fold(self, record: FoldRecord) -> None:
-        self.records.append(record)
-        self.fold_count += 1
-
-    def __len__(self) -> int:
-        return len(self.records)
+    @property
+    def fold_count(self) -> int:
+        return len(self.folds)
 
     def to_lines(self) -> list[str]:
+        """The K lines (if a kernel map is set), then the F, then the D lines."""
         lines = []
         if self.kernel_map is not None:
             lines.extend(f"K {i} {orig}" for i, orig in enumerate(self.kernel_map))
-        for rec in self.records:
-            if isinstance(rec, FixedInSolution):
-                lines.append(f"F {rec.vertex}")
-            else:
-                v, w = rec.merged
-                lines.append(f"D {rec.new_vertex} {rec.folded} {v} {w}")
+        lines.extend(f"F {v}" for v in self.fixed)
+        lines.extend(
+            f"D {r.new_vertex} {r.folded} {r.merged[0]} {r.merged[1]}"
+            for r in self.folds
+        )
         return lines
 
     @classmethod
     def from_lines(cls, lines) -> "ReductionLog":
+        """Read lines in any order; older logs interleave F and D lines."""
         log = cls()
         kmap: list[int] = []
         for line in lines:
@@ -81,10 +90,10 @@ class ReductionLog:
             if tag == "K":
                 kmap.append(int(toks[2]))
             elif tag == "F":
-                log.add_fixed(int(toks[1]))
+                log.fixed.append(int(toks[1]))
             elif tag == "D":
                 x, u, v, w = (int(t) for t in toks[1:5])
-                log.add_fold(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
+                log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
             else:
                 raise ValueError(f"unknown reduction record {line!r}")
         if kmap:
@@ -99,8 +108,14 @@ class KernelResult:
 
     kernel: StaticGraph
     log: ReductionLog
-    fixed_count: int
-    fold_count: int
+
+    @property
+    def fixed_count(self) -> int:
+        return self.log.fixed_count
+
+    @property
+    def fold_count(self) -> int:
+        return self.log.fold_count
 
     def extend(self, kernel_solution: set[int]) -> set[int]:
         """Lift a kernel solution to the input graph; raise ContractError if
@@ -113,7 +128,7 @@ def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     """Fix an isolated vertex into the solution."""
     if not W.alive[v] or W.live_degree[v] != 0:
         return False
-    log.add_fixed(v)
+    log.fixed.append(v)
     W.kill(v)
     return True
 
@@ -123,7 +138,7 @@ def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     if not W.alive[v] or W.live_degree[v] != 1:
         return False
     W.delete_closed_neighborhood(v)
-    log.add_fixed(v)
+    log.fixed.append(v)
     return True
 
 
@@ -135,7 +150,7 @@ def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
     W.check_steps += 1
     if not W.adjacent(v, w):
         return False
-    log.add_fixed(u)
+    log.fixed.append(u)
     W.delete_closed_neighborhood(u)
     return True
 
@@ -159,8 +174,7 @@ def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
             break
     if partner < 0:
         return False
-    log.add_fixed(u)
-    log.add_fixed(partner)
+    log.fixed += (u, partner)
     W.delete_closed_neighborhood(u)
     W.kill(partner)
     return True
@@ -185,7 +199,8 @@ def rule_fold2(
     W.check_steps += 1
     if W.adjacent(v, w):
         return False
-    log.add_fold(W.fold_degree2(u))
+    x = W.fold_degree2(u)
+    log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
     return True
 
 
@@ -271,8 +286,7 @@ def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
             break
     if twin < 0:
         return False
-    log.add_fixed(u)
-    log.add_fixed(twin)
+    log.fixed += (u, twin)
     W.delete_closed_neighborhood(u)
     W.kill(twin)
     return True
@@ -345,8 +359,7 @@ def run_to_fixpoint(
                     queue.append(t)
             touched.clear()
     W.touched.clear()
-    fixed = {rec.vertex for rec in log.records if isinstance(rec, FixedInSolution)}
-    return fixed, log
+    return set(log.fixed), log
 
 
 def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
@@ -356,30 +369,26 @@ def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
     _, log = run_to_fixpoint(W, ruleset)
     kernel, orig_ids = W.freeze()
     log.kernel_map = orig_ids
-    return KernelResult(
-        kernel=kernel, log=log, fixed_count=log.fixed_count, fold_count=log.fold_count
-    )
+    return KernelResult(kernel=kernel, log=log)
 
 
 def extend_solution(kernel_solution: set[int], log: ReductionLog) -> set[int]:
     """Lift a kernel solution back through the log.
 
-    Replayed in reverse: a fixed vertex rejoins the solution, a fold resolves
-    to its merged pair or its folded center. The result gains exactly
-    fixed_count + fold_count vertices.
+    Every fixed vertex joins the solution, then the folds are undone in
+    reverse: each resolves to its merged pair or its folded center. The
+    result gains exactly fixed_count + fold_count vertices.
     """
     if log.kernel_map is not None:
         kmap = log.kernel_map
         solution = {kmap[v] for v in kernel_solution}
     else:
         solution = set(kernel_solution)
-    for rec in reversed(log.records):
-        if isinstance(rec, FixedInSolution):
-            solution.add(rec.vertex)
-        elif isinstance(rec, FoldRecord):
-            if rec.new_vertex in solution:
-                solution.remove(rec.new_vertex)
-                solution.update(rec.merged)
-            else:
-                solution.add(rec.folded)
+    solution.update(log.fixed)
+    for rec in reversed(log.folds):
+        if rec.new_vertex in solution:
+            solution.remove(rec.new_vertex)
+            solution.update(rec.merged)
+        else:
+            solution.add(rec.folded)
     return solution

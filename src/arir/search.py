@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import compress
 
 from .graph import StaticGraph, WorkingGraph
@@ -153,21 +153,12 @@ class SolutionState:
             elif t == 1:
                 one_buf.append(w)
 
-    def maintain_maximality(self, full_scan: bool = True) -> int:
-        """Insert free 0-tight vertices, lowest id first, until none remain.
-
-        Incremental callers (full_scan=False) rely on the candidate heap fed
-        by prior removals; the public form rescans all free vertices.
+    def maintain_maximality(self) -> int:
+        """Insert the free 0-tight vertices of the candidate heap, lowest id
+        first, until none remain. _remove feeds the heap with the neighbors
+        that drop to 0-tight; the removed vertex itself is left to the
+        caller, which in the search always inserts one of its neighbors.
         """
-        if full_scan:
-            in_sol = self.in_sol
-            tight = self.tight
-            self._zero_heap = [
-                v
-                for v in range(self.view.vertex_count)
-                if not in_sol[v] and tight[v] == 0
-            ]
-            heapify(self._zero_heap)
         zero_heap = self._zero_heap
         inserted = 0
         while zero_heap:
@@ -266,7 +257,7 @@ class SolutionState:
             self._insert(u)
             self._insert(w)
             swaps += 1
-            self.maintain_maximality(full_scan=False)
+            self.maintain_maximality()
             self._drain_one_buf()
         if seed_all:
             self.swap_free = True
@@ -336,7 +327,7 @@ class SolutionState:
                 break
             self._force_insert(v)
             forced.append(v)
-        self.maintain_maximality(full_scan=False)
+        self.maintain_maximality()
         return set(forced)
 
     def _force_insert(self, v: int) -> None:

@@ -41,6 +41,17 @@ def random_tree(n: int, rng: random.Random) -> StaticGraph:
     return build_graph(edges, vertex_count_hint=n)
 
 
+def random_maximal(g: StaticGraph, rng: random.Random) -> set[int]:
+    """A maximal independent set, greedy over a random vertex order."""
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    sol = set()
+    for v in order:
+        if all(u not in sol for u in g.adjacency[v]):
+            sol.add(v)
+    return sol
+
+
 def view_of(g: StaticGraph) -> LiveView:
     """Search snapshot of a whole graph; its compact ids are g's ids."""
     return LiveView.from_working(WorkingGraph(g))

@@ -1,7 +1,8 @@
 import json
 
+import arir.bench
 import arir.cli
-from arir import ReductionLog, RunResult, extend_solution
+from arir import ReductionLog, RunResult, extend_solution, run
 from arir.cli import main
 from arir.io import write_metis, write_solution
 from helpers import (
@@ -106,6 +107,21 @@ def test_solve_adapt_n_defaults_to_ten_m(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--input", graph_path, "--m", "20"]) == 0
     capsys.readouterr()
     assert configs[0].m == 20 and configs[0].n == 200
+
+
+def test_solve_prints_the_run_stats(tmp_path, monkeypatch, capsys):
+    graph_path = metis_file(tmp_path, cycle(9), "c9.graph")
+    results = []
+
+    def capture(graph, config):
+        results.append(run(graph, config))
+        return results[-1]
+
+    monkeypatch.setattr(arir.cli, "run", capture)
+    assert main(["solve", "--input", graph_path, "--m", "20", "--max-blocks", "3"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["instance", *results[0].stats]
+    assert record == {"instance": "c9", **results[0].stats}
 
 
 def test_verify_cases(tmp_path, capsys):
@@ -340,3 +356,66 @@ def test_bench_error_row_continues(tmp_path, capsys):
     by_name = {ln.split(",")[0]: ln for ln in lines[1:]}
     assert by_name["broken"].split(",")[2] == "0"
     assert by_name["c5"].split(",")[3] == "2"
+
+
+def test_bench_bad_settings_rejected_before_any_read(tmp_path, monkeypatch, capsys):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                {
+                    "instance_path": c5,
+                    "cutoff_s": 1.0,
+                    "variants": ["arir2"],
+                    "seeds": [1],
+                    "max_blocks": 1,
+                },
+                {
+                    "instance_path": c5,
+                    "cutoff_s": 1.0,
+                    "variants": ["arir2", "arirX"],
+                    "seeds": [1],
+                    "m": 0,
+                },
+            ]
+        )
+    )
+    reads = []
+    monkeypatch.setattr(arir.bench, "read_graph", lambda *a, **k: reads.append(a))
+    csv_path = tmp_path / "o.csv"
+    rc = main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "entry 1" in err and "m must be >= 1" in err
+    assert reads == [] and not csv_path.exists()
+    # With m fixed, the unknown variant is the entry's fault.
+    entries = json.loads(manifest.read_text())
+    entries[1]["m"] = 10
+    manifest.write_text(json.dumps(entries))
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert "entry 1" in err and "arirX" in err
+    assert reads == []
+
+
+def test_bench_seeds_must_be_a_list_of_ints(tmp_path, capsys):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    manifest = tmp_path / "manifest.json"
+    for seeds in (3, [1, "2"], [1.0]):
+        manifest.write_text(
+            json.dumps(
+                [
+                    {
+                        "instance_path": c5,
+                        "cutoff_s": 1.0,
+                        "variants": ["arir2"],
+                        "seeds": seeds,
+                    }
+                ]
+            )
+        )
+        rc = main(["bench", "--manifest", str(manifest), "--csv", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "entry 0" in err and "seeds must be a non-empty list of ints" in err

@@ -78,17 +78,14 @@ def test_delete_updates_degrees_like_recount():
 
 def test_fold_p3_to_isolated():
     w = WorkingGraph(path(3))
-    rec = w.fold_degree2(1)
-    assert rec.folded == 1 and rec.merged == (0, 2)
-    assert rec.new_vertex == 3
+    assert w.fold_degree2(1) == 3
     assert w.alive_count == 1
     assert w.live_degree[3] == 0
 
 
 def test_fold_c5_gives_triangle():
     w = WorkingGraph(cycle(5))
-    rec = w.fold_degree2(0)
-    x = rec.new_vertex
+    x = w.fold_degree2(0)
     assert w.alive_vertices() == [2, 3, x]
     assert w.adjacent(x, 2) and w.adjacent(x, 3) and w.adjacent(2, 3)
     assert w.live_degree[x] == 2
@@ -96,8 +93,7 @@ def test_fold_c5_gives_triangle():
 
 def test_fold_p5_middle_gives_p3():
     w = WorkingGraph(path(5))
-    rec = w.fold_degree2(2)
-    x = rec.new_vertex
+    x = w.fold_degree2(2)
     assert sorted(w.alive_vertices()) == [0, 4, x]
     assert w.adjacent(x, 0) and w.adjacent(x, 4)
     assert not w.adjacent(0, 4)
@@ -115,8 +111,8 @@ def test_fold_rejects_wrong_degree_and_triangle():
 
 def test_fold_ids_contiguous_past_base():
     w = WorkingGraph(path(7))
-    first = w.fold_degree2(1).new_vertex
-    second = w.fold_degree2(4).new_vertex
+    first = w.fold_degree2(1)
+    second = w.fold_degree2(4)
     assert first == 7 and second == 8
 
 

@@ -14,6 +14,7 @@ from arir import (
     run_to_fixpoint,
 )
 from arir.reductions import (
+    FoldRecord,
     rule_domination,
     rule_fold2,
     rule_one_vertex,
@@ -22,7 +23,18 @@ from arir.reductions import (
     rule_twin_edge,
     rule_zero_vertex,
 )
-from helpers import brute_alpha, complete, cycle, gnp, is_independent, path, random_tree, star
+from arir.solver import rir_reduce
+from helpers import (
+    brute_alpha,
+    complete,
+    cycle,
+    gnp,
+    is_independent,
+    path,
+    random_maximal,
+    random_tree,
+    star,
+)
 
 
 def kernel_alpha(g, tier):
@@ -53,7 +65,7 @@ def test_one_vertex_p2():
     log = ReductionLog()
     assert rule_one_vertex(w, 0, log)
     assert w.alive_count == 0
-    assert log.records[0].vertex == 0
+    assert log.fixed == [0]
     assert not w.alive[1]
 
 
@@ -125,8 +137,9 @@ def test_fold2_p3_lift_both_ways():
     w = WorkingGraph(path(3))
     log = ReductionLog()
     assert rule_fold2(w, 1, log)
-    x = log.records[0].new_vertex
-    assert extend_solution({x}, log) == {0, 2}
+    assert log.folds == [FoldRecord(new_vertex=3, folded=1, merged=(0, 2))]
+    assert not log.fixed
+    assert extend_solution({3}, log) == {0, 2}
     assert extend_solution(set(), log) == {1}
 
 
@@ -266,7 +279,7 @@ def test_fixpoint_idempotent():
         run_to_fixpoint(w, tier="advanced")
         alive = w.alive_count
         fixed2, log2 = run_to_fixpoint(w, tier="advanced")
-        assert not fixed2 and len(log2) == 0
+        assert not fixed2 and not log2.fixed and not log2.folds
         # Domination leaves no log record; a second fire would kill a vertex.
         assert w.alive_count == alive
 
@@ -409,3 +422,111 @@ def test_log_serialization_round_trip():
     old = ReductionLog.from_lines(lines[:1] + ["X 3"] + lines[1:])
     assert old.to_lines() == lines
     assert extend_solution(set(), old) == extend_solution(set(), result.log)
+
+
+class _Tape(list):
+    """A list that also copies every item written to it onto a shared tape."""
+
+    def __init__(self, tape):
+        super().__init__()
+        self.tape = tape
+
+    def append(self, item):
+        self.tape.append(item)
+        super().append(item)
+
+    def __iadd__(self, items):
+        for item in items:
+            self.append(item)
+        return self
+
+
+class OrderedLog(ReductionLog):
+    """A ReductionLog that also keeps the order in which the rules wrote to
+    it, fixed vertices and folds interleaved in one list."""
+
+    __slots__ = ("order",)
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+        self.fixed = _Tape(self.order)
+        self.folds = _Tape(self.order)
+
+
+def replay_in_write_order(kernel_solution, log):
+    """Reference lift: undo every record in reverse of the order written."""
+    kmap = log.kernel_map
+    if kmap is not None:
+        solution = {kmap[v] for v in kernel_solution}
+    else:
+        solution = set(kernel_solution)
+    for rec in reversed(log.order):
+        if not isinstance(rec, FoldRecord):
+            solution.add(rec)
+        elif rec.new_vertex in solution:
+            solution.remove(rec.new_vertex)
+            solution.update(rec.merged)
+        else:
+            solution.add(rec.folded)
+    return solution
+
+
+def test_lift_matches_replay_in_write_order(monkeypatch):
+    monkeypatch.setattr(reductions, "ReductionLog", OrderedLog)
+    rng = random.Random(61)
+    lifts = fixed_fold_vertices = 0
+    for _ in range(40):
+        n = rng.randint(6, 70)
+        if rng.random() < 0.5:
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n // 2)]
+            g = build_graph(edges, vertex_count_hint=n)
+        else:
+            g = gnp(n, rng.uniform(0.03, 0.3), rng)
+        cases = []
+        for tier in ("simple", "advanced", "light"):
+            result = kernelize(g, tier)
+            cases.append((result.kernel, result.log))
+        # The in-round simple tier, after deleting N[S] for an independent S.
+        S = {v for v in random_maximal(g, rng) if rng.random() < 0.3}
+        _, working = rir_reduce(g, S)
+        _, log = run_to_fixpoint(working, tier="simple")
+        rest, ids = working.freeze()
+        log.kernel_map = ids
+        cases.append((rest, log))
+        for kernel, log in cases:
+            assert isinstance(log, OrderedLog)
+            folds = [r for r in log.order if isinstance(r, FoldRecord)]
+            assert folds == log.folds
+            assert [r for r in log.order if not isinstance(r, FoldRecord)] == log.fixed
+            # A fold consumes only vertices that were alive; a fixed vertex
+            # is dead at once, so none is consumed. A fold's new vertex may
+            # be fixed later.
+            consumed = {v for r in log.folds for v in (r.folded, *r.merged)}
+            assert consumed.isdisjoint(log.fixed)
+            fixed_fold_vertices += sum(v >= g.vertex_count for v in log.fixed)
+            solutions = [random_maximal(kernel, rng) for _ in range(3)]
+            if kernel.vertex_count <= 64:
+                solutions.append(exact_mis(kernel).witness)
+            for sol in solutions:
+                lifted = extend_solution(sol, log)
+                assert lifted == replay_in_write_order(sol, log)
+                assert len(lifted) == len(sol) + log.fixed_count + log.fold_count
+                lifts += 1
+    assert lifts > 500 and fixed_fold_vertices > 0
+
+
+def test_interleaved_log_lifts_the_same():
+    # Older logs list F and D lines in the order the rules fired. On cycle(5)
+    # the simple tier folds 0 into 5, then fixes one vertex of the triangle
+    # {2, 3, 5}: fixing 5 lifts to 5's merged pair, fixing 2 to {0, 2}.
+    g = cycle(5)
+    for lines, expected in (
+        (["D 5 0 1 4", "F 5"], {1, 4}),
+        (["D 5 0 1 4", "F 2"], {0, 2}),
+    ):
+        log = ReductionLog.from_lines(lines)
+        assert log.to_lines() == [lines[1], lines[0]]
+        lifted = extend_solution(set(), log)
+        assert lifted == expected and is_independent(g, lifted)
+    assert kernelize(g, "simple").log.to_lines() == ["F 2", "D 5 0 1 4"]

@@ -24,6 +24,7 @@ from helpers import (
     is_maximal,
     path,
     petersen,
+    random_maximal,
     random_tree,
     star,
     view_of,
@@ -46,16 +47,6 @@ def manual_state(g, solution, rng=None):
     state._zero_heap.clear()
     state._one_buf.clear()
     return state
-
-
-def random_maximal(g, rng):
-    order = list(range(g.vertex_count))
-    rng.shuffle(order)
-    sol = set()
-    for v in order:
-        if all(u not in sol for u in g.adjacency[v]):
-            sol.add(v)
-    return sol
 
 
 def test_greedy_star_picks_leaves():
@@ -134,8 +125,11 @@ def test_greedy_random_is_maximal_independent():
 
 
 def test_maintain_maximality_restores_p3():
-    state = manual_state(path(3), {0, 2})
-    state._remove(0)
+    # Half a swap: the center leaves, one end comes in; removing the center
+    # put both ends on the candidate heap.
+    state = manual_state(path(3), {1})
+    state._remove(1)
+    state._insert(0)
     assert state.size == 1
     inserted = state.maintain_maximality()
     assert inserted == 1
@@ -152,7 +146,14 @@ def test_maintain_maximality_random_leaves_no_zero_tight():
     rng = random.Random(4)
     for trial in range(15):
         g = gnp(40, 0.15, rng)
-        state = manual_state(g, set())
+        state = fresh_state(g, trial)
+        removed = [v for v in sorted(state.solution_set()) if rng.random() < 0.5]
+        for v in removed:
+            state._remove(v)
+        # _remove queues the neighbors that became 0-tight; the removed
+        # vertices themselves are the caller's to queue.
+        for v in removed:
+            heapq.heappush(state._zero_heap, v)
         state.maintain_maximality()
         state.audit()
         assert is_maximal(g, state.solution_set())

@@ -150,8 +150,7 @@ def test_restart_round_arir2_runs_no_reductions():
     rs, rng = _round_state(g)
     rs.record()
     rs = restart_round(g, rs, RunConfig(variant="arir2").validated(), rng)
-    assert rs.round_log.fixed_count == 0
-    assert len(rs.round_log) == 0
+    assert not rs.round_log.fixed and not rs.round_log.folds
     assert rs.intersection is None
 
 
