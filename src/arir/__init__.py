@@ -8,7 +8,6 @@ from .io import (
     read_graph,
     read_metis,
     read_solution,
-    write_edgelist,
     write_metis,
     write_solution,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "read_solution",
     "run",
     "run_to_fixpoint",
-    "write_edgelist",
     "write_metis",
     "write_solution",
 ]

@@ -1,4 +1,5 @@
-"""Readers and writers for Metis graphs, edge lists, and solution files."""
+"""Readers for Metis graphs, edge lists and solution files, and writers for
+Metis graphs and solutions."""
 
 from __future__ import annotations
 
@@ -169,15 +170,6 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
             raise ParseError(f"{path}: id 0 present in a 1-based edge list")
         pairs = [(u - 1, v - 1) for u, v in pairs]
     return build_graph(pairs)
-
-
-def write_edgelist(graph: StaticGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {graph.vertex_count} vertices, {graph.edge_count} edges\n")
-        for v, a in enumerate(graph.adjacency):
-            for u in a:
-                if v < u:
-                    fh.write(f"{v} {u}\n")
 
 
 def read_solution(path: str) -> set[int]:

@@ -23,6 +23,9 @@ RULESETS = {
     "light": frozenset({"zero", "one", "fold"}),
 }
 
+# Ids after each tag of a kernel-log line.
+_RECORD_IDS = {"K": 2, "F": 1, "D": 4}
+
 
 @dataclass(frozen=True, slots=True)
 class FoldRecord:
@@ -78,25 +81,43 @@ class ReductionLog:
 
     @classmethod
     def from_lines(cls, lines) -> "ReductionLog":
-        """Read lines in any order; older logs interleave F and D lines."""
+        """Read lines in any order; older logs interleave F and D lines.
+
+        A record is its tag and exactly its count of non-negative ids, and
+        the K lines name each kernel index 0..k-1 once; anything else raises
+        ValueError naming the line.
+        """
         log = cls()
-        kmap: list[int] = []
-        for line in lines:
+        kernel_lines: list[tuple[int, int, int, str]] = []
+        for lineno, line in enumerate(lines, start=1):
             toks = line.split()
             # An X line (an exclusion record of older logs) lifts to nothing.
             if not toks or toks[0] in ("#", "X"):
                 continue
-            tag = toks[0]
+            tag, args = toks[0], toks[1:]
+            if len(args) != _RECORD_IDS.get(tag) or not all(map(str.isdecimal, args)):
+                raise ValueError(
+                    f"line {lineno} {line.strip()!r}: not a K i orig, F v or"
+                    " D x u v w record"
+                )
+            ids = [int(t) for t in args]
             if tag == "K":
-                kmap.append(int(toks[2]))
+                kernel_lines.append((ids[0], ids[1], lineno, line))
             elif tag == "F":
-                log.fixed.append(int(toks[1]))
-            elif tag == "D":
-                x, u, v, w = (int(t) for t in toks[1:5])
-                log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
+                log.fixed.append(ids[0])
             else:
-                raise ValueError(f"unknown reduction record {line!r}")
-        if kmap:
+                x, u, v, w = ids
+                log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
+        if kernel_lines:
+            k = len(kernel_lines)
+            kmap = [-1] * k
+            for i, orig, lineno, line in kernel_lines:
+                if i >= k or kmap[i] >= 0:
+                    raise ValueError(
+                        f"line {lineno} {line.strip()!r}: K indices must be"
+                        f" 0..{k - 1}, each once"
+                    )
+                kmap[i] = orig
             log.kernel_map = kmap
         return log
 
@@ -330,13 +351,13 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
 
 def run_to_fixpoint(
     W: WorkingGraph, tier: str = "simple"
-) -> tuple[set[int], ReductionLog]:
+) -> tuple[list[int], ReductionLog]:
     """Apply the tier's rules until none fires anywhere.
 
     Worklist-driven: after a rule fires, only vertices whose neighborhood
     changed are re-examined. The worklist is FIFO, seeded in ascending id, so
-    kernels are deterministic for a fixed input. Returns the set of vertices
-    fixed into the solution and the undo log.
+    kernels are deterministic for a fixed input. Returns the log's list of
+    vertices fixed into the solution (log.fixed itself) and the undo log.
     """
     rules = RULESETS[tier]
     log = ReductionLog()
@@ -358,8 +379,7 @@ def run_to_fixpoint(
                     in_queue[t] = True
                     queue.append(t)
             touched.clear()
-    W.touched.clear()
-    return set(log.fixed), log
+    return log.fixed, log
 
 
 def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:

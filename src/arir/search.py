@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
 
@@ -412,7 +411,6 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     for v in range(n):
         if status[v] == 1:
             state._insert(v)
-    state._zero_heap.clear()
     state._one_buf.clear()
     return state
 
@@ -430,20 +428,12 @@ def find_one_two_swap(state: SolutionState) -> tuple[int, int, int] | None:
     return None
 
 
-@dataclass(slots=True)
-class BestTracker:
-    """Best solution observed during a search block, in working-graph ids;
-    never below the input."""
-
-    best_set: set[int]
-    best_size: int
-
-
-def arw_block(state: SolutionState, m: int) -> BestTracker:
-    """Run m iterations of (perturb, exhaust swaps) and report the best
-    solution observed, the input included. Tracks the largest per-iteration
-    touch count in state.max_iter_touches. The full swap rescan at the start
-    runs only while the state is not yet known to be swap-free."""
+def arw_block(state: SolutionState, m: int) -> set[int]:
+    """Run m iterations of (perturb, exhaust swaps) and return the best
+    solution observed, the input included, in working-graph ids. Tracks the
+    largest per-iteration touch count in state.max_iter_touches. The full
+    swap rescan at the start runs only while the state is not yet known to
+    be swap-free."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
     if m > 0 and state.size < state.view.vertex_count:
@@ -464,5 +454,4 @@ def arw_block(state: SolutionState, m: int) -> BestTracker:
                 best_mask = bytes(state.in_sol)
                 best_size = state.size
         state.max_iter_touches = max_iter
-    best = set(compress(state.view.ids, best_mask))
-    return BestTracker(best_set=best, best_size=best_size)
+    return set(compress(state.view.ids, best_mask))

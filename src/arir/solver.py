@@ -103,20 +103,18 @@ def rir_reduce(
     # when reached, and the result does not depend on the order.
     for v in S:
         working.delete_closed_neighborhood(v)
-    working.touched.clear()
     return S, working
 
 
 @dataclass(slots=True)
 class RoundState:
     """One search round over the frozen kernel: the intersection-fixed set S,
-    the working graph left after deleting N[S], the round's reduction log,
-    the search state and the round's best solution (in working-graph ids),
-    plus the running intersection of the solutions recorded this round
-    (None until the first record)."""
+    the round's reduction log, the search state (a snapshot of the working
+    graph left after deleting N[S]) and the round's best solution (in
+    working-graph ids), plus the running intersection of the solutions
+    recorded this round (None until the first record)."""
 
     S: set[int]
-    working: WorkingGraph
     round_log: ReductionLog
     state: SolutionState
     current_best: set[int]
@@ -130,9 +128,10 @@ class RoundState:
         round_log: ReductionLog,
         rng: random.Random,
     ) -> "RoundState":
-        """Start a round on a reduced working graph with a greedy solution."""
+        """Start a round on a reduced working graph with a greedy solution.
+        The round keeps only the snapshot, so the working graph is freed."""
         state = greedy_init(LiveView.from_working(working), rng)
-        return cls(S, working, round_log, state, state.solution_set())
+        return cls(S, round_log, state, state.solution_set())
 
     def record(self) -> None:
         """Intersect current_best into the running intersection. Recorded sets
@@ -210,9 +209,9 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         if cfg.target_size is not None and len(best) + offset >= cfg.target_size:
             break
 
-        tracker = arw_block(rs.state, cfg.m)
+        block_best = arw_block(rs.state, cfg.m)
         blocks += 1
-        improved = tracker.best_size > len(rs.current_best)
+        improved = len(block_best) > len(rs.current_best)
 
         restart = False
         if adaptive_on:
@@ -229,10 +228,10 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
                 "restart %d: fixed %d by intersection, %d alive",
                 restarts,
                 len(rs.S),
-                rs.working.alive_count,
+                rs.state.view.vertex_count,
             )
         elif improved:
-            rs.current_best = tracker.best_set
+            rs.current_best = block_best
         else:
             continue
         lifted = rs.lift(rs.current_best)

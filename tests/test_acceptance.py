@@ -204,9 +204,9 @@ def test_criterion_6_arw_block_contract():
         state = greedy_init(view_of(g), random.Random(blocks))
         for _ in range(4):
             before = state.size
-            tracker = arw_block(state, 10)
+            best = arw_block(state, 10)
             blocks += 1
-            if tracker.best_size < before:
+            if len(best) < before:
                 report("6 arw-block", False, "block lost ground")
             ratio = state.max_iter_touches / g.edge_count
             worst_ratio = max(worst_ratio, ratio)

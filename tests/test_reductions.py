@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -56,7 +57,9 @@ def test_zero_vertex():
 def test_zero_vertex_empty_graph():
     g = build_graph([], vertex_count_hint=4)
     fixed, log = run_to_fixpoint(WorkingGraph(g), tier="simple")
-    assert fixed == {0, 1, 2, 3}
+    # The first item is the log's own list, not a copy.
+    assert fixed is log.fixed
+    assert set(fixed) == {0, 1, 2, 3}
     assert extend_solution(set(), log) == {0, 1, 2, 3}
 
 
@@ -530,3 +533,41 @@ def test_interleaved_log_lifts_the_same():
         lifted = extend_solution(set(), log)
         assert lifted == expected and is_independent(g, lifted)
     assert kernelize(g, "simple").log.to_lines() == ["F 2", "D 5 0 1 4"]
+
+
+def test_kernel_lines_in_any_order_lift_the_same():
+    # Each K line places its vertex at its own index, whatever the order.
+    for lines in (["K 0 3", "K 1 7"], ["K 1 7", "K 0 3"]):
+        log = ReductionLog.from_lines(lines)
+        assert log.kernel_map == [3, 7]
+        assert extend_solution({0}, log) == {3}
+    rng = random.Random(41)
+    g = gnp(60, 0.08, rng)
+    result = kernelize(g, "advanced")
+    assert result.kernel.vertex_count > 1
+    lines = result.log.to_lines()
+    back = ReductionLog.from_lines(reversed(lines))
+    assert back.kernel_map == result.log.kernel_map
+    solution = random_maximal(result.kernel, rng)
+    assert extend_solution(solution, back) == extend_solution(solution, result.log)
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (["F"], "line 1 'F'"),
+        (["K 0"], "line 1 'K 0'"),
+        (["F 1 2"], "line 1 'F 1 2'"),
+        (["D 5 0 1 4 9"], "line 1 'D 5 0 1 4 9'"),
+        (["D 5 0 1"], "line 1 'D 5 0 1'"),
+        (["F -1"], "line 1 'F -1'"),
+        (["F x"], "line 1 'F x'"),
+        (["# fixed=1", "Q 1"], "line 2 'Q 1'"),
+        (["K 0 3", "K 2 5"], "line 2 'K 2 5'"),
+        (["K 1 3", "K 1 5"], "line 2 'K 1 5'"),
+        (["K 0 -3"], "line 1 'K 0 -3'"),
+    ],
+)
+def test_malformed_kernel_log_lines_rejected(lines, where):
+    with pytest.raises(ValueError, match=re.escape(where)):
+        ReductionLog.from_lines(lines)

@@ -6,7 +6,6 @@ from pathlib import Path
 import arir.search
 from arir import WorkingGraph, build_graph, exact_mis
 from arir.search import (
-    BestTracker,
     LiveView,
     SolutionState,
     arw_block,
@@ -256,9 +255,7 @@ def test_force_count_distribution():
 def test_arw_block_m0_identity():
     state = fresh_state(cycle(6), seed=2)
     before = state.solution_set()
-    tracker = arw_block(state, 0)
-    assert tracker.best_set == before
-    assert tracker.best_size == len(before)
+    assert arw_block(state, 0) == before
     assert state.solution_set() == before
 
 
@@ -266,18 +263,18 @@ def test_arw_block_petersen_reaches_alpha():
     g = petersen()
     assert exact_mis(g).alpha == 4
     state = greedy_init(view_of(g), random.Random(1))
-    tracker = arw_block(state, 10_000)
-    assert tracker.best_size == 4
-    assert is_independent(g, tracker.best_set)
+    best = arw_block(state, 10_000)
+    assert len(best) == 4
+    assert is_independent(g, best)
 
 
 def test_arw_block_c6_swap_improves():
     g = cycle(6)
     assert exact_mis(g).alpha == 3
     state = manual_state(g, {0, 3}, rng=random.Random(1))
-    tracker = arw_block(state, 1)
-    assert tracker.best_size == 3
-    assert is_independent(g, tracker.best_set)
+    best = arw_block(state, 1)
+    assert len(best) == 3
+    assert is_independent(g, best)
 
 
 def test_arw_block_output_at_least_input():
@@ -286,20 +283,20 @@ def test_arw_block_output_at_least_input():
         g = gnp(rng.randint(10, 60), rng.uniform(0.05, 0.3), rng)
         state = fresh_state(g, trial)
         before = state.size
-        tracker = arw_block(state, 20)
-        assert tracker.best_size >= before
-        assert is_independent(g, tracker.best_set)
-        assert is_maximal(g, tracker.best_set)
+        best = arw_block(state, 20)
+        assert len(best) >= before
+        assert is_independent(g, best)
+        assert is_maximal(g, best)
         state.audit()
 
 
 def test_arw_block_deterministic():
     g = gnp(40, 0.2, random.Random(3))
-    trackers = []
+    bests = []
     for _ in range(2):
         state = greedy_init(view_of(g), random.Random(9))
-        trackers.append(arw_block(state, 200))
-    assert trackers[0] == BestTracker(trackers[1].best_set, trackers[1].best_size)
+        bests.append(arw_block(state, 200))
+    assert bests[0] == bests[1]
 
 
 def test_exhaustion_leaves_no_swap():
@@ -373,12 +370,12 @@ def test_skipped_rescan_matches_full_rescan():
         g = gnp(rng.randint(10, 80), rng.uniform(0.03, 0.3), rng)
         states = [fresh_state(g, trial) for _ in range(2)]
         for _ in range(4):
-            trackers = []
+            bests = []
             for state, rescan in zip(states, (False, True)):
                 if rescan:
                     state.swap_free = False
-                trackers.append(arw_block(state, 25))
-            assert trackers[0] == trackers[1]
+                bests.append(arw_block(state, 25))
+            assert bests[0] == bests[1]
             assert states[0].solution_set() == states[1].solution_set()
 
 
@@ -405,9 +402,9 @@ def test_snapshot_matches_working_graph():
             )
         # Solutions leave the search in working-graph ids.
         state = greedy_init(view, random.Random(trial))
-        tracker = arw_block(state, 5)
+        best = arw_block(state, 5)
         alive = w.alive_vertices()
-        for sol in (state.solution_set(), tracker.best_set):
+        for sol in (state.solution_set(), best):
             assert sol <= set(alive)
             assert all(u not in sol for v in sol for u in w.alive_neighbors(v))
             assert all(

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 
 import pytest
 
@@ -160,7 +162,7 @@ def test_restart_round_arir3_runs_simple_tier():
     _record_all(rs, [set()])  # empty intersection: plain restart
     rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rng)
     # The simple tier empties a path entirely.
-    assert rs.working.alive_count == 0
+    assert rs.state.view.vertex_count == 0
     composite = rs.S | extend_solution(rs.current_best, rs.round_log)
     assert is_independent(g, composite)
 
@@ -176,6 +178,40 @@ def test_restart_round_composite_independent_randoms():
         assert is_independent(g, lifted)
 
 
+def test_round_keeps_no_working_graph():
+    g = gnp(30, 0.2, random.Random(5))
+    working = WorkingGraph(g)
+    before = sys.getrefcount(working)
+    rs = RoundState.begin(set(), working, ReductionLog(), random.Random(1))
+    assert sys.getrefcount(working) == before
+    assert not any(r is rs for r in gc.get_referrers(working))
+
+
+@pytest.mark.parametrize("variant", ["arir2", "arir3"])
+def test_restart_round_keeps_no_working_graph(monkeypatch, variant):
+    rounds = []
+    reduce = arir.solver.rir_reduce
+
+    def spy(*args):
+        S, working = reduce(*args)
+        rounds.append(working)
+        return S, working
+
+    monkeypatch.setattr(arir.solver, "rir_reduce", spy)
+    g = gnp(40, 0.1, random.Random(6))
+    rs, rng = _round_state(g)
+    arw_block(rs.state, 5)
+    rs.record()
+    rs = restart_round(g, rs, RunConfig(variant=variant).validated(), rng)
+    # Only the spy's list and this frame hold the round's graph, as they
+    # hold a control graph.
+    working = rounds[0]
+    controls = [WorkingGraph(g)]
+    control = controls[0]
+    assert sys.getrefcount(working) == sys.getrefcount(control)
+    assert not any(r is rs for r in gc.get_referrers(working))
+
+
 def test_restart_lift_matches_round_accounting():
     # Sparse graphs leave degree-2 paths, so the simple tier fixes and folds
     # in most rounds. The lift of a round's best gains exactly S plus one
@@ -188,9 +224,9 @@ def test_restart_lift_matches_round_accounting():
         g = gnp(n, rng.uniform(1.5, 3.0) / n, rng)
         rs, rrng = _round_state(g, seed=trial)
         for _ in range(6):
-            tracker = arw_block(rs.state, 5)
-            if tracker.best_size > len(rs.current_best):
-                rs.current_best = tracker.best_set
+            best = arw_block(rs.state, 5)
+            if len(best) > len(rs.current_best):
+                rs.current_best = best
             rs.record()
             rs = restart_round(g, rs, cfg, rrng)
             lifted = rs.lift(rs.current_best)
@@ -206,9 +242,18 @@ def test_restart_lift_matches_round_accounting():
     assert folds > 0 and fixed_by_intersection > 0
 
 
-def test_restarts_leave_the_frozen_kernel_unchanged():
+def test_restarts_leave_the_frozen_kernel_unchanged(monkeypatch):
     # Folds copy a shared list the first time they extend it and append in
     # place afterwards; neither may write to the frozen kernel's lists.
+    rounds = []
+    reduce = arir.solver.rir_reduce
+
+    def kept_reduce(*args):
+        S, working = reduce(*args)
+        rounds.append(working)
+        return S, working
+
+    monkeypatch.setattr(arir.solver, "rir_reduce", kept_reduce)
     rng = random.Random(67)
     cfg = RunConfig(variant="arir3").validated()
     in_place = 0
@@ -218,14 +263,14 @@ def test_restarts_leave_the_frozen_kernel_unchanged():
         before = [list(a) for a in g.adjacency]
         rs, rrng = _round_state(g, seed=trial)
         for _ in range(8):
-            tracker = arw_block(rs.state, 5)
-            if tracker.best_size > len(rs.current_best):
-                rs.current_best = tracker.best_set
+            best = arw_block(rs.state, 5)
+            if len(best) > len(rs.current_best):
+                rs.current_best = best
             rs.record()
             rs = restart_round(g, rs, cfg, rrng)
             # A list that grew by two or more was appended to in place.
             in_place += sum(
-                len(rs.working.adj[v]) - len(a) >= 2 for v, a in enumerate(before)
+                len(rounds[-1].adj[v]) - len(a) >= 2 for v, a in enumerate(before)
             )
         assert g.adjacency == before
     assert in_place > 0
