@@ -10,7 +10,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .io import read_graph
+from .io import check_read_options, read_graph
 from .solver import RunConfig, run
 
 log = logging.getLogger("arir")
@@ -49,8 +49,8 @@ class BenchRow:
 
 def load_manifest(path: str) -> list[BenchEntry]:
     """Parse and validate a manifest: a JSON list of entry objects. Every
-    entry's run settings are checked for each of its variants, so a bad entry
-    fails here, before any graph is read."""
+    entry's run settings (for each of its variants) and read options are
+    checked, so a bad entry fails here, before any graph is read."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -72,6 +72,7 @@ def load_manifest(path: str) -> list[BenchEntry]:
                 raise ValueError("variants must be a non-empty list")
             for variant in variants:
                 replace(config, variant=variant).validated()
+            check_read_options(entry.format, entry.index_base)
             if not os.path.exists(entry.instance_path):
                 raise ValueError(f"instance {entry.instance_path} not found")
         except (TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -10,7 +11,8 @@ import sys
 
 from .bench import load_manifest, run_bench, write_csv
 from .graph import ContractError, edge_inside, free_vertex
-from .io import ParseError, read_graph, read_solution, write_metis, write_solution
+from .io import GRAPH_FORMATS, INDEX_BASES, read_graph, read_solution
+from .io import write_metis, write_solution
 from .oracle import exact_mis
 from .reductions import RULESETS, kernelize
 from .solver import VARIANTS, RunConfig, run
@@ -30,11 +32,23 @@ def _setup_logging() -> None:
     log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
 
 
+class _UnusableInput(Exception):
+    """Input a command cannot use: main prints it and exits 2."""
+
+
+@contextlib.contextmanager
+def _reading():
+    """Turn a ValueError (a ParseError, a bad setting, text that is not
+    UTF-8) or OSError raised while reading inputs into _UnusableInput."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _UnusableInput(exc) from None
+
+
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("metis", "edgelist", "auto"), default="auto"
-    )
-    parser.add_argument("--index-base", choices=("0", "1", "auto"), default="auto")
+    parser.add_argument("--format", choices=GRAPH_FORMATS, default="auto")
+    parser.add_argument("--index-base", choices=INDEX_BASES, default="auto")
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    try:
+    with _reading():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
         config = RunConfig(
             variant=args.variant,
@@ -107,9 +121,6 @@ def cmd_solve(args) -> int:
             seed=args.seed,
             max_blocks=args.max_blocks,
         ).validated()
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         result = run(graph, config)
     except ContractError as exc:
@@ -123,11 +134,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
+    with _reading():
         entries = load_manifest(args.manifest)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rows = run_bench(entries, jobs=args.jobs)
     write_csv(rows, args.csv)
     for row in rows:
@@ -137,18 +145,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _reading():
         graph = read_graph(
             args.graph_path, fmt=args.format, index_base=args.index_base
         )
         solution = read_solution(args.solution_path)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for v in solution:
-        if not 0 <= v < graph.vertex_count:
-            print(f"error: vertex id {v} out of range", file=sys.stderr)
-            return 2
+        for v in solution:
+            if not 0 <= v < graph.vertex_count:
+                raise ValueError(f"vertex id {v} out of range")
     independent = edge_inside(graph, solution) is None
     maximal = independent and free_vertex(graph, solution) is None
     print(
@@ -159,11 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    try:
+    with _reading():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     result = kernelize(graph, args.ruleset)
     stem = os.path.splitext(args.input)[0]
     kernel_path = args.kernel_out or f"{stem}.kernel.graph"
@@ -181,12 +182,9 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
+    with _reading():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
         result = exact_mis(graph)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"alpha={result.alpha}")
     print(" ".join(str(v) for v in sorted(result.witness)))
     return 0
@@ -204,7 +202,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UnusableInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

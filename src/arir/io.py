@@ -12,6 +12,10 @@ _MAX_ID = 2**63 - 1
 _METIS_EXTENSIONS = {".graph", ".metis"}
 _EDGELIST_EXTENSIONS = {".edges", ".edgelist", ".el", ".txt"}
 
+# The fmt and index_base values that read_graph accepts.
+GRAPH_FORMATS = ("metis", "edgelist", "auto")
+INDEX_BASES = ("0", "1", "auto")
+
 
 class ParseError(ValueError):
     """A graph or solution file could not be parsed."""
@@ -38,14 +42,22 @@ def detect_format(path: str) -> str:
     )
 
 
+def check_read_options(fmt: str, index_base: str) -> None:
+    """Raise ParseError unless read_graph accepts fmt and index_base (an
+    index base may also be the int 0 or 1)."""
+    if fmt not in GRAPH_FORMATS:
+        raise ParseError(f"unknown graph format {fmt!r}; pick one of {GRAPH_FORMATS}")
+    if str(index_base) not in INDEX_BASES:
+        raise ParseError(f"invalid index base {index_base!r}; pick one of {INDEX_BASES}")
+
+
 def read_graph(path: str, fmt: str = "auto", index_base: str = "auto") -> StaticGraph:
+    check_read_options(fmt, index_base)
     if fmt == "auto":
         fmt = detect_format(path)
     if fmt == "metis":
         return read_metis(path)
-    if fmt == "edgelist":
-        return read_edgelist(path, index_base=index_base)
-    raise ParseError(f"unknown graph format {fmt!r}")
+    return read_edgelist(path, index_base=index_base)
 
 
 def read_metis(path: str) -> StaticGraph:
@@ -138,8 +150,7 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
 
     index_base "auto" treats the file as 1-based when the smallest id is 1.
     """
-    if index_base not in ("auto", "0", "1", 0, 1):
-        raise ParseError(f"invalid index base {index_base!r}")
+    check_read_options("edgelist", index_base)
     pairs: list[tuple[int, int]] = []
     min_id = None
     with open(path, "r", encoding="utf-8") as fh:

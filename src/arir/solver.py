@@ -2,11 +2,12 @@
 stagnation, fix the running intersection of recorded solutions, and lift the
 final answer back to the input graph.
 
-A run alternates search blocks with a periodic stagnation test. Each failed
-test raises the restart probability by 0.01 (reset on improvement). On
-restart, the vertices common to every solution recorded this round are fixed
-into the solution, their closed neighborhood is deleted from the frozen
-kernel, and search starts fresh on the remainder.
+A run searches in blocks of m iterations, and after every n // m blocks a
+stagnation test judges the period: improvement anywhere in it resets the
+restart probability p to 0; otherwise p grows by 0.01 and a restart fires
+with probability p. On restart, the vertices common to every solution
+recorded this round are fixed into the solution, their closed neighborhood
+is deleted from the frozen kernel, and search starts fresh on the remainder.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ VARIANTS = ("arir1", "arir2", "arir3", "arw")
 class RunConfig:
     """Tunables for one solver run.
 
-    n is the stagnation-test period in search iterations and defaults to
-    10 * m; it is rounded up to a whole number of blocks. max_blocks switches
-    the cutoff from wall-clock seconds to an exact block count (deterministic
-    end-to-end). target_size stops early once the incumbent reaches it.
+    n, the stagnation-test period in iterations (default 10 * m), is rounded
+    up to whole blocks of m, and each test judges every block of its period.
+    m, n and max_blocks are ints; max_blocks switches the cutoff from
+    wall-clock seconds to an exact block count (deterministic end-to-end).
+    target_size stops early once the incumbent reaches it.
     """
 
     variant: str = "arir2"
@@ -51,6 +53,10 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        for name in ("m", "n", "max_blocks"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         n = self.n if self.n is not None else 10 * self.m
@@ -64,31 +70,20 @@ class RunConfig:
         return replace(self, n=n)
 
 
-@dataclass(slots=True)
-class AdaptiveState:
-    """Restart probability driver. p is held in integer hundredths so the
-    multiple-of-0.01 invariant is exact."""
+def adaptive_test(
+    p_centi: int, improved: bool, rng: random.Random
+) -> tuple[int, bool]:
+    """One stagnation test on the restart probability p, held in integer
+    hundredths so the multiple-of-0.01 invariant is exact.
 
-    n: int
-    iter_num: int = 0
-    p_centi: int = 0
-
-
-def adaptive_test(adaptive: AdaptiveState, improved: bool, rng: random.Random) -> bool:
-    """Stagnation test, run once per block after advancing iter_num.
-
-    Off test boundaries (iter_num not a multiple of n) nothing changes. On a
-    boundary: improvement resets p to 0; otherwise p grows by 0.01 (capped at
-    1) and a restart fires with probability p. Returns True to restart.
+    Improvement resets p to 0; otherwise p grows by 0.01 (capped at 1) and a
+    restart fires with probability p. Returns the new p and whether to
+    restart.
     """
-    if adaptive.iter_num % adaptive.n != 0:
-        return False
     if improved:
-        adaptive.p_centi = 0
-        return False
-    if adaptive.p_centi < 100:
-        adaptive.p_centi += 1
-    return rng.random() < adaptive.p_centi / 100.0
+        return 0, False
+    p_centi = min(p_centi + 1, 100)
+    return p_centi, rng.random() < p_centi / 100.0
 
 
 def rir_reduce(
@@ -190,13 +185,16 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     )
 
     GK = kern.kernel
-    adaptive = AdaptiveState(n=cfg.n)
     rs = RoundState.begin(set(), WorkingGraph(GK), ReductionLog(), rng)
     # The best solution of all rounds, on the frozen kernel.
     best = rs.lift(rs.current_best)
     t_best = time.perf_counter() - t_start
 
-    adaptive_on = cfg.variant != "arw"
+    # The stagnation test falls after every period-th block (blocks counts
+    # across rounds) and judges the whole period; arw never tests.
+    period = 0 if cfg.variant == "arw" else cfg.n // cfg.m
+    p_centi = 0
+    period_improved = False
     blocks = 0
     restarts = 0
     # An empty kernel is solved by kernelization alone: no block runs.
@@ -212,13 +210,13 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         block_best = arw_block(rs.state, cfg.m)
         blocks += 1
         improved = len(block_best) > len(rs.current_best)
+        period_improved = period_improved or improved
 
         restart = False
-        if adaptive_on:
-            adaptive.iter_num += cfg.m
-            if adaptive.iter_num % adaptive.n == 0:
-                rs.record()
-            restart = adaptive_test(adaptive, improved, rng)
+        if period and blocks % period == 0:
+            rs.record()
+            p_centi, restart = adaptive_test(p_centi, period_improved, rng)
+            period_improved = False
 
         # A restart only follows a block that did not improve.
         if restart:

@@ -419,3 +419,48 @@ def test_bench_seeds_must_be_a_list_of_ints(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert "entry 0" in err and "seeds must be a non-empty list of ints" in err
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    # Bytes that are not UTF-8 are an input error for every command, and for
+    # verify never a verdict.
+    junk = tmp_path / "junk.graph"
+    junk.write_bytes(b"\xff\xfe\x00garbage\n")
+    p3 = metis_file(tmp_path, path(3), "p3.graph")
+    good = str(tmp_path / "good.sol")
+    write_solution({0, 2}, good)
+    for argv in (
+        ["solve", "--input", str(junk)],
+        ["kernelize", "--input", str(junk)],
+        ["oracle", "--input", str(junk)],
+        ["verify", str(junk), good],
+        ["verify", p3, str(junk)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_bench_bad_read_options_and_fractional_counts_rejected(tmp_path, capsys):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    manifest = tmp_path / "manifest.json"
+    csv_path = tmp_path / "o.csv"
+    for key, value, message in (
+        ("format", "mtx", "unknown graph format"),
+        ("index_base", "2", "invalid index base"),
+        ("m", 10.5, "m must be an int"),
+        ("n", 20.0, "n must be an int"),
+        ("max_blocks", 1.5, "max_blocks must be an int"),
+    ):
+        entry = {
+            "instance_path": c5,
+            "cutoff_s": 1.0,
+            "variants": ["arir2"],
+            "seeds": [1],
+            key: value,
+        }
+        manifest.write_text(json.dumps([entry]))
+        assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert "entry 0" in err and message in err, (key, err)
+        assert not csv_path.exists()

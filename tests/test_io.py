@@ -123,6 +123,15 @@ def test_read_graph_format_dispatch(tmp_path):
     unknown.write_text("1 0\n")
     with pytest.raises(ParseError, match="cannot infer"):
         read_graph(str(unknown))
+    # Options are checked before the file is opened, whatever its format.
+    with pytest.raises(ParseError, match="unknown graph format 'mtx'"):
+        read_graph(str(metis), fmt="mtx")
+    with pytest.raises(ParseError, match="invalid index base '2'"):
+        read_graph(str(metis), index_base="2")
+    edges = tmp_path / "x.edges"
+    edges.write_text("1 2\n")
+    assert read_edgelist(str(edges), index_base=0).vertex_count == 3
+    assert read_edgelist(str(edges), index_base=1).vertex_count == 2
 
 
 def test_matrix_market_needs_an_explicit_format(tmp_path):

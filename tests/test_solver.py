@@ -10,13 +10,14 @@ from arir import (
     ReductionLog,
     RunConfig,
     WorkingGraph,
+    build_graph,
     extend_solution,
+    kernelize,
     run,
 )
 from arir.graph import check_solution, edge_inside, free_vertex
-from arir.search import LiveView, arw_block, greedy_init
+from arir.search import LiveView, SolutionState, arw_block, greedy_init
 from arir.solver import (
-    AdaptiveState,
     RoundState,
     adaptive_test,
     restart_round,
@@ -31,54 +32,111 @@ from helpers import (
     is_maximal,
     path,
     petersen,
+    random_maximal,
     view_of,
 )
 
 
 def test_adaptive_restart_fires_on_small_draw():
-    state = AdaptiveState(n=1, iter_num=1, p_centi=0)
-    assert adaptive_test(state, improved=False, rng=ScriptedRng(uniforms=[0.005]))
-    assert state.p_centi == 1
+    rng = ScriptedRng(uniforms=[0.005])
+    assert adaptive_test(0, improved=False, rng=rng) == (1, True)
 
 
 def test_adaptive_improvement_resets_p():
-    state = AdaptiveState(n=1, iter_num=1, p_centi=37)
-    assert not adaptive_test(state, improved=True, rng=ScriptedRng())
-    assert state.p_centi == 0
-
-
-def test_adaptive_off_boundary_no_change():
-    state = AdaptiveState(n=10, iter_num=7, p_centi=5)
-    assert not adaptive_test(state, improved=False, rng=ScriptedRng(uniforms=[0.0]))
-    assert state.p_centi == 5
+    assert adaptive_test(37, improved=True, rng=ScriptedRng()) == (0, False)
 
 
 def test_adaptive_p_trajectory_scripted():
     # p equals 0.01 x consecutive failed tests, reset on improvement, and a
     # restart fires exactly when the injected draw falls below p.
-    state = AdaptiveState(n=5)
+    p_centi = 0
     script = [False, False, False, True, False, False]
     draws = [0.5, 0.5, 0.5, None, 0.02, 0.015]
     failures = 0
     for improved, draw in zip(script, draws):
-        state.iter_num += 5
         rng = ScriptedRng(uniforms=[draw] if draw is not None else [])
-        restarted = adaptive_test(state, improved, rng)
+        p_centi, restarted = adaptive_test(p_centi, improved, rng)
         if improved:
             failures = 0
             assert not restarted
         else:
             failures = min(failures + 1, 100)
-            assert state.p_centi == failures
+            assert p_centi == failures
             assert restarted == (draw < failures / 100.0)
-        assert state.p_centi == failures
+        assert p_centi == failures
 
 
 def test_adaptive_p_caps_at_one():
-    state = AdaptiveState(n=1, p_centi=100)
-    state.iter_num = 1
-    adaptive_test(state, improved=False, rng=ScriptedRng(uniforms=[0.999]))
-    assert state.p_centi == 100
+    p_centi, _ = adaptive_test(100, improved=False, rng=ScriptedRng(uniforms=[0.999]))
+    assert p_centi == 100
+
+
+@pytest.mark.parametrize(
+    "variant,m,n",
+    [("arir2", 10, 30), ("arir3", 10, 25), ("arir1", 7, 7), ("arw", 10, 20)],
+)
+def test_run_tests_and_records_only_at_period_ends(monkeypatch, variant, m, n):
+    # Off a test boundary neither the test nor the record runs; on one, both
+    # run once. Blocks count across rounds, and arw never tests.
+    blocks, tests, records = [], [], []
+    block, test, record = arir.solver.arw_block, adaptive_test, RoundState.record
+
+    def counted_block(*args):
+        blocks.append(None)
+        return block(*args)
+
+    def counted_test(*args):
+        tests.append(len(blocks))
+        return test(*args)
+
+    def counted_record(self):
+        records.append(len(blocks))
+        record(self)
+
+    monkeypatch.setattr(arir.solver, "arw_block", counted_block)
+    monkeypatch.setattr(arir.solver, "adaptive_test", counted_test)
+    monkeypatch.setattr(RoundState, "record", counted_record)
+    g = gnp(60, 0.1, random.Random(71))
+    cfg = RunConfig(variant=variant, m=m, n=n, max_blocks=100, seed=2)
+    result = run(g, cfg)
+    assert len(blocks) == 100
+    period = cfg.validated().n // m
+    expected = [] if variant == "arw" else list(range(period, 101, period))
+    assert tests == records == expected
+    if variant == "arir1":
+        assert result.stats["restarts"] > 0
+
+
+def test_stagnation_test_judges_the_whole_period(monkeypatch):
+    # The search improves only in the first block of each period, so every
+    # test sees an improving period and no restart fires. The rounds start
+    # from an empty solution, and each improving block adds one vertex of a
+    # maximal independent set.
+    pete = petersen().adjacency
+    edges = [(u, v) for u, a in enumerate(pete) for v in a]
+    g = build_graph([(u + 10 * c, v + 10 * c) for c in range(6) for u, v in edges])
+    assert kernelize(g).kernel.adjacency == g.adjacency
+    target = sorted(random_maximal(g, random.Random(3)))
+    period = 4
+    blocks = []
+
+    def scripted_block(state, m):
+        blocks.append(None)
+        if len(blocks) % period == 1:
+            return set(target[: (len(blocks) - 1) // period + 1])
+        return set()
+
+    def no_restart(*args):
+        pytest.fail("restart after a period that improved")
+
+    monkeypatch.setattr(arir.solver, "greedy_init", SolutionState)
+    monkeypatch.setattr(arir.solver, "arw_block", scripted_block)
+    monkeypatch.setattr(arir.solver, "restart_round", no_restart)
+    cfg = RunConfig(variant="arir2", m=5, n=5 * period, max_blocks=period * len(target))
+    result = run(g, cfg)
+    assert len(target) > 10
+    assert result.solution == set(target)
+    assert result.stats["restarts"] == 0
 
 
 def _round_state(g, seed=1):
@@ -414,6 +472,11 @@ def test_config_validation():
         RunConfig(variant="nope").validated()
     with pytest.raises(ValueError, match="m must"):
         RunConfig(m=0).validated()
+    # Block counts are ints: a fraction would fail inside the search or
+    # round up a block.
+    for field, value in (("m", 10.5), ("m", True), ("n", 20.0), ("max_blocks", 1.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            RunConfig(**{field: value}).validated()
     cfg = RunConfig(m=7, n=15).validated()
     assert cfg.n == 21  # rounded up to whole blocks
 
