@@ -10,7 +10,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .io import check_read_options, read_graph
+from .io import check_read_options, open_text, read_graph
 from .solver import RunConfig, run
 
 log = logging.getLogger("arir")
@@ -51,7 +51,7 @@ def load_manifest(path: str) -> list[BenchEntry]:
     """Parse and validate a manifest: a JSON list of entry objects. Every
     entry's run settings (for each of its variants) and read options are
     checked, so a bad entry fails here, before any graph is read."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: manifest must be a JSON list")

@@ -187,45 +187,58 @@ class WorkingGraph:
                 live_degree[u] -= 1
                 touched.append(u)
 
-    def delete_closed_neighborhood(self, v: int) -> None:
-        """Delete v and all its alive neighbors."""
+    def delete_closed_neighborhood(self, v: int, nbrs: list[int] | None = None) -> None:
+        """Delete v's alive neighbors (nbrs, if the caller has read them),
+        then v."""
         if not self.alive[v]:
             raise ContractError(f"vertex {v} is dead")
-        for u in self.alive_neighbors(v):
+        for u in self.alive_neighbors(v) if nbrs is None else nbrs:
             self.kill(u)
         self.kill(v)
 
-    def fold_degree2(self, u: int) -> int:
+    def fold_degree2(self, u: int, nbrs: list[int] | None = None) -> int:
         """Contract degree-2 vertex u and its two non-adjacent neighbors into
         a fresh vertex adjacent to the union of their other neighbors; return
-        the fresh vertex's id."""
-        if not self.alive[u]:
-            raise ContractError(f"vertex {u} is dead")
-        nbrs = self.alive_neighbors(u)
-        if len(nbrs) != 2:
-            raise ContractError(f"vertex {u} has live degree {len(nbrs)}, need 2")
-        v, w = nbrs
-        if self.adjacent(v, w):
-            raise ContractError(
-                f"neighbors {v},{w} of {u} are adjacent; triangle rule applies"
-            )
-        merged = set(self.alive_neighbors(v))
-        merged.update(self.alive_neighbors(w))
-        merged.discard(u)
+        the fresh vertex's id.
+
+        A caller that has read u's live neighbors and found them non-adjacent
+        passes them as nbrs, and the contract is not checked again.
+        """
+        if nbrs is None:
+            if not self.alive[u]:
+                raise ContractError(f"vertex {u} is dead")
+            nbrs = self.alive_neighbors(u)
+            if len(nbrs) != 2:
+                raise ContractError(f"vertex {u} has live degree {len(nbrs)}, need 2")
+            if self.adjacent(*nbrs):
+                raise ContractError(
+                    f"neighbors {nbrs[0]},{nbrs[1]} of {u} are adjacent;"
+                    " triangle rule applies"
+                )
         self.kill(u)
-        self.kill(v)
-        self.kill(w)
-        x = len(self.alive)
+        alive = self.alive
+        live_degree = self.live_degree
+        touched = self.touched
         adj = self.adj
+        # Kill each merged vertex as kill() would, collecting its live
+        # neighbors in the same pass; u is dead by now, so it is left out.
+        merged = set()
+        for v in nbrs:
+            alive[v] = False
+            for t in adj[v]:
+                if alive[t]:
+                    live_degree[t] -= 1
+                    touched.append(t)
+                    merged.add(t)
+        self.alive_count -= 2
+        x = len(alive)
         adj_x = sorted(merged)
         adj.append(adj_x)
         owned = self.owned
         owned.append(1)
-        self.alive.append(True)
-        live_degree = self.live_degree
+        alive.append(True)
         live_degree.append(len(adj_x))
         self.alive_count += 1
-        touched = self.touched
         for t in adj_x:
             # x is the largest id so far, so the list stays ascending.
             if owned[t]:
@@ -248,9 +261,14 @@ class WorkingGraph:
         The map is ascending and every adj list is sorted, so each remapped
         adjacency list is already sorted.
         """
-        vertices = self.alive_vertices()
         alive = self.alive
         adj = self.adj
+        if self.alive_count == len(alive):
+            # Nothing died, so nothing was folded: every list is still the
+            # base's own, and the graph shares them. A later fold copies a
+            # list before it extends it, so the snapshot stays as it is.
+            return StaticGraph(list(adj)), list(range(len(alive)))
+        vertices = self.alive_vertices()
         remap = [0] * len(alive)
         for i, v in enumerate(vertices):
             remap[v] = i

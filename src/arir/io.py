@@ -4,6 +4,9 @@ Metis graphs and solutions."""
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import TextIO
 
 from .graph import StaticGraph, build_graph
 
@@ -19,6 +22,19 @@ INDEX_BASES = ("0", "1", "auto")
 
 class ParseError(ValueError):
     """A graph or solution file could not be parsed."""
+
+
+@contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """Open path for reading as UTF-8 text; bytes that are not UTF-8, met
+    anywhere in the with block, raise a ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 def _parse_id(token: str, where: str) -> int:
@@ -68,7 +84,7 @@ def read_metis(path: str) -> StaticGraph:
     an entry or lists its own vertex), and m must be the edge count. Missing
     trailing lines are isolated vertices.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [ln for ln in fh if not ln.lstrip().startswith("%")]
     if not lines:
         raise ParseError(f"{path}: empty metis file")
@@ -153,7 +169,7 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
     check_read_options("edgelist", index_base)
     pairs: list[tuple[int, int]] = []
     min_id = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped[0] in "#%":
@@ -186,7 +202,7 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
 def read_solution(path: str) -> set[int]:
     """Read a solution file: one 0-based vertex id per line, '#' comments."""
     out: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

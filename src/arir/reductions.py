@@ -9,6 +9,7 @@ optimum up to a known offset, recorded in a replayable undo log.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -163,27 +164,44 @@ def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     return True
 
 
-def rule_triangle(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
-    """Fix a 2-vertex whose neighbors are adjacent; delete the triangle."""
+# Each rule below also takes its vertex's live neighbors as nbrs from
+# _apply_first, which reads them once per examination and, at degree 2, has
+# already tested whether the two are adjacent. Called without nbrs, a rule
+# checks its own preconditions.
+
+
+def _degree2_neighbors(W: WorkingGraph, u: int, adjacent: bool) -> list[int] | None:
+    """u's two live neighbors if u is an alive 2-vertex whose neighbors are
+    adjacent exactly when `adjacent` is set; otherwise None."""
     if not W.alive[u] or W.live_degree[u] != 2:
-        return False
-    v, w = W.alive_neighbors(u)
+        return None
+    nbrs = W.alive_neighbors(u)
     W.check_steps += 1
-    if not W.adjacent(v, w):
-        return False
+    return nbrs if W.adjacent(*nbrs) == adjacent else None
+
+
+def rule_triangle(
+    W: WorkingGraph, u: int, log: ReductionLog, nbrs: list[int] | None = None
+) -> bool:
+    """Fix a 2-vertex whose neighbors are adjacent; delete the triangle."""
+    if nbrs is None:
+        nbrs = _degree2_neighbors(W, u, adjacent=True)
+        if nbrs is None:
+            return False
     log.fixed.append(u)
-    W.delete_closed_neighborhood(u)
+    W.delete_closed_neighborhood(u, nbrs)
     return True
 
 
-def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
+def rule_quadrilateral(
+    W: WorkingGraph, u: int, log: ReductionLog, nbrs: list[int] | None = None
+) -> bool:
     """Fix both 2-vertices of a chordless 4-cycle; delete all four vertices."""
-    if not W.alive[u] or W.live_degree[u] != 2:
-        return False
-    v1, v2 = W.alive_neighbors(u)
-    W.check_steps += 1
-    if W.adjacent(v1, v2):
-        return False
+    if nbrs is None:
+        nbrs = _degree2_neighbors(W, u, adjacent=False)
+        if nbrs is None:
+            return False
+    v1, v2 = nbrs
     # Scan N(v1) ∩ N(v2) for another 2-vertex; first found wins.
     if W.live_degree[v2] < W.live_degree[v1]:
         v1, v2 = v2, v1
@@ -196,7 +214,7 @@ def rule_quadrilateral(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
     if partner < 0:
         return False
     log.fixed += (u, partner)
-    W.delete_closed_neighborhood(u)
+    W.delete_closed_neighborhood(u, nbrs)
     W.kill(partner)
     return True
 
@@ -206,48 +224,38 @@ def rule_fold2(
     u: int,
     log: ReductionLog,
     restricted: bool = False,
+    nbrs: list[int] | None = None,
 ) -> bool:
     """Fold a 2-vertex with non-adjacent neighbors into a fresh vertex.
 
     With restricted=True both neighbors must themselves be 2-vertices (the
     in-round variant); preprocessing uses the unrestricted form.
     """
-    if not W.alive[u] or W.live_degree[u] != 2:
-        return False
-    v, w = W.alive_neighbors(u)
+    if nbrs is None:
+        nbrs = _degree2_neighbors(W, u, adjacent=False)
+        if nbrs is None:
+            return False
+    v, w = nbrs
     if restricted and (W.live_degree[v] != 2 or W.live_degree[w] != 2):
         return False
-    W.check_steps += 1
-    if W.adjacent(v, w):
-        return False
-    x = W.fold_degree2(u)
+    x = W.fold_degree2(u, nbrs)
     log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
     return True
 
 
-def _closed_subset(W: WorkingGraph, u: int, v: int) -> bool:
-    """True iff every alive neighbor of u other than v is adjacent to v."""
-    alive = W.alive
-    for t in W.adj[u]:
-        if alive[t]:
-            W.check_steps += 1
-            if t != v and not W.adjacent(t, v):
-                return False
-    return True
-
-
-def rule_domination(W: WorkingGraph, v: int) -> bool:
+def rule_domination(W: WorkingGraph, v: int, nbrs: list[int] | None = None) -> bool:
     """Exclude v when some neighbor u has its closed neighborhood inside v's:
     an optimum avoiding v then exists."""
-    if not W.alive[v]:
-        return False
+    if nbrs is None:
+        if not W.alive[v]:
+            return False
+        nbrs = W.alive_neighbors(v)
     live_degree = W.live_degree
-    dv = live_degree[v]
-    nbrs = W.alive_neighbors(v)
+    dv = len(nbrs)
     # N[v], marked once; each candidate u scans its own list against it.
+    # Any dominated neighbor removes v, so the candidates need no order.
     closed = set(nbrs)
     closed.add(v)
-    nbrs.sort(key=live_degree.__getitem__)
     alive = W.alive
     adj = W.adj
     steps = 0
@@ -255,7 +263,7 @@ def rule_domination(W: WorkingGraph, v: int) -> bool:
     for u in nbrs:
         steps += 1
         if live_degree[u] > dv:
-            break
+            continue
         for t in adj[u]:
             if alive[t]:
                 steps += 1
@@ -270,27 +278,48 @@ def rule_domination(W: WorkingGraph, v: int) -> bool:
     return fired
 
 
-def _dominates_neighbor(W: WorkingGraph, u: int) -> bool:
-    """Exclude some neighbor v of u with N[u] ⊆ N[v] (reverse direction of
-    rule_domination, needed so the fixpoint catches pairs whose containment
-    was created by deletions near u)."""
-    if not W.alive[u]:
-        return False
-    du = W.live_degree[u]
-    for v in W.alive_neighbors(u):
-        W.check_steps += 1
-        if W.live_degree[v] >= du and _closed_subset(W, u, v):
+def _dominates_neighbor(W: WorkingGraph, u: int, nbrs: list[int] | None = None) -> bool:
+    """Exclude the first neighbor v of u with N[u] ⊆ N[v] (reverse direction
+    of rule_domination, needed so the fixpoint catches pairs whose
+    containment was created by deletions near u)."""
+    if nbrs is None:
+        if not W.alive[u]:
+            return False
+        nbrs = W.alive_neighbors(u)
+    live_degree = W.live_degree
+    adj = W.adj
+    du = len(nbrs)
+    steps = 0
+    for v in nbrs:
+        steps += 1
+        if live_degree[v] < du:
+            continue
+        # Every other neighbor t of u must be adjacent to v.
+        for t in nbrs:
+            steps += 1
+            if t != v:
+                a = adj[t]
+                i = bisect_left(a, v)
+                if i == len(a) or a[i] != v:
+                    break
+        else:
+            W.check_steps += steps
             W.kill(v)
             return True
+    W.check_steps += steps
     return False
 
 
-def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
+def rule_twin_edge(
+    W: WorkingGraph, u: int, log: ReductionLog, nbrs: list[int] | None = None
+) -> bool:
     """Fix two non-adjacent vertices sharing the same 3 neighbors when those
     neighbors span at least one edge; delete all five vertices."""
-    if not W.alive[u] or W.live_degree[u] != 3:
-        return False
-    a, b, c = W.alive_neighbors(u)
+    if nbrs is None:
+        if not W.alive[u] or W.live_degree[u] != 3:
+            return False
+        nbrs = W.alive_neighbors(u)
+    a, b, c = nbrs
     W.check_steps += 1
     if not (W.adjacent(a, b) or W.adjacent(a, c) or W.adjacent(b, c)):
         return False
@@ -301,52 +330,56 @@ def rule_twin_edge(W: WorkingGraph, u: int, log: ReductionLog) -> bool:
             t != u
             and W.live_degree[t] == 3
             and not W.adjacent(t, u)
-            and W.alive_neighbors(t) == [a, b, c]
+            and W.alive_neighbors(t) == nbrs
         ):
             twin = t
             break
     if twin < 0:
         return False
     log.fixed += (u, twin)
-    W.delete_closed_neighborhood(u)
+    W.delete_closed_neighborhood(u, nbrs)
     W.kill(twin)
     return True
 
 
 def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -> bool:
-    # A rule that does not fire changes nothing, so v's degree is read once
-    # and only the rules that can fire at it are called.
+    # A rule that does not fire changes nothing, so v's degree and live
+    # neighbors are read once, and only the rules that can fire at them are
+    # called. Every tier has the degree-0 and degree-1 rules and one of the
+    # two folds, and in a tier with the unrestricted fold some degree-2 rule
+    # always fires, so the domination and twin rules only ever see degree 3
+    # and above.
     W.check_steps += 2
     d = W.live_degree[v]
     if d == 0:
-        if "zero" in rules and rule_zero_vertex(W, v, log):
+        return rule_zero_vertex(W, v, log)
+    if d == 1:
+        return rule_one_vertex(W, v, log)
+    if d == 2:
+        nbrs = W.alive_neighbors(v)
+        W.check_steps += 1
+        if W.adjacent(*nbrs):
+            return "triangle" in rules and rule_triangle(W, v, log, nbrs)
+        if "quadrilateral" in rules and rule_quadrilateral(W, v, log, nbrs):
             return True
-    elif d == 1:
-        if "one" in rules and rule_one_vertex(W, v, log):
+        if "fold" in rules:
+            return rule_fold2(W, v, log, nbrs=nbrs)
+        if rule_fold2(W, v, log, restricted=True, nbrs=nbrs):
             return True
-    elif d == 2:
-        if "triangle" in rules and rule_triangle(W, v, log):
-            return True
-        if "quadrilateral" in rules and rule_quadrilateral(W, v, log):
-            return True
-        if "fold" in rules and rule_fold2(W, v, log):
-            return True
-        if "fold_restricted" in rules:
-            if rule_fold2(W, v, log, restricted=True):
+        # A drop of v's degree to 2 can enable a fold centered at a
+        # 2-vertex neighbor whose other neighbor already had degree 2.
+        for u in nbrs:
+            if W.live_degree[u] == 2 and rule_fold2(W, u, log, restricted=True):
                 return True
-            # A drop of v's degree to 2 can enable a fold centered at a
-            # 2-vertex neighbor whose other neighbor already had degree 2.
-            for u in W.alive_neighbors(v):
-                if W.live_degree[u] == 2 and rule_fold2(W, u, log, restricted=True):
-                    return True
-    if "domination" in rules:
-        if rule_domination(W, v):
-            return True
-        if _dominates_neighbor(W, v):
-            return True
-    if d == 3 and "twin_edge" in rules and rule_twin_edge(W, v, log):
-        return True
-    return False
+        return False
+    if "domination" not in rules:
+        return False
+    nbrs = W.alive_neighbors(v)
+    return (
+        rule_domination(W, v, nbrs)
+        or _dominates_neighbor(W, v, nbrs)
+        or (d == 3 and "twin_edge" in rules and rule_twin_edge(W, v, log, nbrs))
+    )
 
 
 def run_to_fixpoint(

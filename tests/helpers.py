@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from arir import StaticGraph, WorkingGraph, build_graph
 from arir.search import LiveView
+
+# The benchmark's instance generators (perfbench/gen.py), loaded by path.
+_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
+bench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_gen)
 
 
 def gnp(n: int, p: float, rng: random.Random) -> StaticGraph:

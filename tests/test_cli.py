@@ -441,6 +441,26 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_unreadable_input_error_names_the_file(tmp_path, capsys):
+    # With two inputs, the message says which one is not UTF-8.
+    p3 = metis_file(tmp_path, path(3), "p3.graph")
+    good = str(tmp_path / "good.sol")
+    write_solution({0, 2}, good)
+    for name in ("junk.graph", "junk.sol", "junk.edges", "junk.json"):
+        junk = tmp_path / name
+        junk.write_bytes(b"0 1\n\xff\xfe\x00garbage\n")
+    for argv, bad in (
+        (["verify", p3, str(tmp_path / "junk.sol")], "junk.sol"),
+        (["verify", str(tmp_path / "junk.graph"), good], "junk.graph"),
+        (["solve", "--input", str(tmp_path / "junk.edges")], "junk.edges"),
+        (["bench", "--manifest", str(tmp_path / "junk.json"), "--csv", good],
+         "junk.json"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / bad}: not UTF-8 text"), err
+
+
 def test_bench_bad_read_options_and_fractional_counts_rejected(tmp_path, capsys):
     c5 = metis_file(tmp_path, cycle(5), "c5.graph")
     manifest = tmp_path / "manifest.json"

@@ -166,3 +166,45 @@ def test_freeze_compacts_alive_subgraph():
     kernel.audit()
     # path 1-2-3-4-5 survives
     assert kernel.edge_count == 4
+
+
+def test_freeze_shares_lists_when_nothing_died():
+    rng = random.Random(5)
+    g = gnp(40, 0.1, rng)
+    w = WorkingGraph(g)
+    kernel, orig = w.freeze()
+    # The copying path would build equal lists; these are the base's own.
+    assert orig == list(range(40))
+    assert kernel == g and kernel.edge_count == g.edge_count
+    assert kernel.max_degree == g.max_degree
+    assert all(a is b for a, b in zip(kernel.adjacency, g.adjacency))
+    kernel.audit()
+    before = [list(a) for a in kernel.adjacency]
+    # A later fold on the working graph leaves the snapshot as it was.
+    folds = 0
+    for v in range(40):
+        if w.alive[v] and w.live_degree[v] == 2:
+            if w.adjacent(*w.alive_neighbors(v)):
+                continue
+            w.fold_degree2(v)
+            folds += 1
+    assert folds
+    assert kernel.adjacency == before and len(kernel.adjacency) == 40
+    assert g.adjacency == before
+
+
+def test_fold_with_passed_neighbors_matches_checked_fold():
+    rng = random.Random(8)
+    for _ in range(30):
+        g = gnp(rng.randint(6, 40), 0.12, rng)
+        checked, trusted = WorkingGraph(g), WorkingGraph(g)
+        for v in range(g.vertex_count):
+            if not checked.alive[v] or checked.live_degree[v] != 2:
+                continue
+            nbrs = checked.alive_neighbors(v)
+            if checked.adjacent(*nbrs):
+                continue
+            assert checked.fold_degree2(v) == trusted.fold_degree2(v, list(nbrs))
+            for field in WorkingGraph.__slots__:
+                assert getattr(checked, field) == getattr(trusted, field), field
+            trusted.audit()

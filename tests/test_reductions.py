@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -26,6 +27,7 @@ from arir.reductions import (
 )
 from arir.solver import rir_reduce
 from helpers import (
+    bench_gen,
     brute_alpha,
     complete,
     cycle,
@@ -328,7 +330,8 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
             edges += [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b)]
         graphs.append(build_graph(edges, vertex_count_hint=n))
     graphs += [gnp(rng.randint(5, 40), rng.uniform(0.05, 0.4), rng) for _ in range(20)]
-    # Fires per rule, counted on both sides, so each rule is exercised.
+    # Fires per rule, counted on each side: every rule is exercised, and
+    # under the gated dispatcher each still fires through its own function.
     names = (
         "rule_zero_vertex",
         "rule_one_vertex",
@@ -339,25 +342,61 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
         "_dominates_neighbor",
         "rule_twin_edge",
     )
-    fires = dict.fromkeys(names, 0)
+    sides = (reductions._apply_first, ungated_apply_first)
+    fires = {side: dict.fromkeys(names, 0) for side in sides}
+    counts = fires[sides[0]]  # the running side's tally, read by counted
     for name in names:
         def counted(*args, rule=getattr(reductions, name), name=name, **kwargs):
             fired = rule(*args, **kwargs)
-            fires[name] += fired
+            counts[name] += fired
             return fired
 
         monkeypatch.setattr(reductions, name, counted)
     for tier in ("simple", "advanced", "light"):
         for g in graphs:
             outcomes = []
-            for apply in (reductions._apply_first, ungated_apply_first):
+            for side in sides:
+                counts = fires[side]
                 with monkeypatch.context() as m:
-                    m.setattr(reductions, "_apply_first", apply)
+                    m.setattr(reductions, "_apply_first", side)
                     w = WorkingGraph(g)
                     _, log = run_to_fixpoint(w, tier)
                 outcomes.append((log.to_lines(), w.alive, w.adj, w.check_steps))
-            assert outcomes[0] == outcomes[1]
-    assert all(fires.values()), fires
+            gated, reference = outcomes
+            assert gated[:3] == reference[:3]
+            # Reading v's neighbours once checks no more than the reference.
+            assert gated[3] <= reference[3]
+    assert fires[sides[0]] == fires[sides[1]]
+    assert all(fires[sides[0]].values()), fires
+
+
+# Kernel size and digests of the kernel's adjacency and of its log lines on
+# two benchmark-shaped graphs; a change to any rule's outcome or to the
+# worklist order shows here.
+PINNED_KERNELS = [
+    ("gnm", "simple", 1325, "55d01442ec827997", "2661f31532bf241b"),
+    ("gnm", "advanced", 281, "d2bd4861f0138645", "5ceb70902e4d80b2"),
+    ("gnm", "light", 358, "8091f02031471f50", "57df52e006fbd186"),
+    ("mesh", "simple", 3589, "a50ecc8d0fe48199", "ac717fc58bdd606e"),
+    ("mesh", "advanced", 3414, "9fd49473e8f94557", "4759640795287b88"),
+    ("mesh", "light", 3596, "5c9a5c1e86641d2a", "76cbe7cf1f927f0a"),
+]
+
+
+@pytest.mark.parametrize("family,tier,size,kernel_digest,log_digest", PINNED_KERNELS)
+def test_kernels_and_logs_pinned(family, tier, size, kernel_digest, log_digest):
+    if family == "gnm":
+        n, edges = bench_gen.gnm(5000, 7500, random.Random(1))
+    else:
+        n, edges = bench_gen.mesh(60, random.Random(1))
+    result = kernelize(build_graph(edges, vertex_count_hint=n), tier)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert result.kernel.vertex_count == size
+    assert digest(repr(result.kernel.adjacency)) == kernel_digest
+    assert digest("\n".join(result.log.to_lines())) == log_digest
 
 
 @pytest.mark.parametrize("tier", ["simple", "advanced", "light"])

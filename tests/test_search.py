@@ -1,7 +1,5 @@
 import heapq
-import importlib.util
 import random
-from pathlib import Path
 
 import arir.search
 from arir import WorkingGraph, build_graph, exact_mis
@@ -14,6 +12,7 @@ from arir.search import (
 )
 from helpers import (
     ScriptedRng,
+    bench_gen,
     brute_alpha,
     complete,
     cycle,
@@ -28,12 +27,6 @@ from helpers import (
     star,
     view_of,
 )
-
-_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
-bench_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_gen)
-
 
 def fresh_state(g, seed=0):
     return greedy_init(view_of(g), random.Random(seed))
