@@ -19,13 +19,15 @@ class StaticGraph:
     solver runs.
     """
 
-    __slots__ = ("vertex_count", "edge_count", "adjacency", "max_degree")
+    __slots__ = ("vertex_count", "adjacency")
 
     def __init__(self, adjacency: list[list[int]]):
         self.adjacency = adjacency
         self.vertex_count = len(adjacency)
-        self.edge_count = sum(len(a) for a in adjacency) // 2
-        self.max_degree = max((len(a) for a in adjacency), default=0)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -37,7 +39,6 @@ class StaticGraph:
 
     def audit(self) -> None:
         """Recompute every structural invariant from scratch; raise on breakage."""
-        deg_sum = 0
         for v, a in enumerate(self.adjacency):
             if sorted(set(a)) != list(a):
                 raise AssertionError(f"adjacency of {v} not sorted/deduplicated")
@@ -46,11 +47,6 @@ class StaticGraph:
             for u in a:
                 if not self.has_edge(u, v):
                     raise AssertionError(f"asymmetric edge {v}-{u}")
-            deg_sum += len(a)
-        if self.edge_count != deg_sum // 2:
-            raise AssertionError("edge_count inconsistent with adjacency")
-        if self.max_degree != max((len(a) for a in self.adjacency), default=0):
-            raise AssertionError("max_degree inconsistent with adjacency")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StaticGraph):
@@ -141,7 +137,6 @@ class WorkingGraph:
         "owned",
         "alive",
         "live_degree",
-        "alive_count",
         "touched",
         "check_steps",
     )
@@ -156,7 +151,6 @@ class WorkingGraph:
         self.owned = bytearray(n)
         self.alive = [True] * n
         self.live_degree = [len(a) for a in base.adjacency]
-        self.alive_count = n
         # Vertices whose live neighborhood changed since last drain; consumed
         # by the reduction fixpoint driver.
         self.touched: list[int] = []
@@ -178,7 +172,6 @@ class WorkingGraph:
         if not self.alive[v]:
             raise ContractError(f"vertex {v} already dead")
         self.alive[v] = False
-        self.alive_count -= 1
         alive = self.alive
         live_degree = self.live_degree
         touched = self.touched
@@ -230,7 +223,6 @@ class WorkingGraph:
                     live_degree[t] -= 1
                     touched.append(t)
                     merged.add(t)
-        self.alive_count -= 2
         x = len(alive)
         adj_x = sorted(merged)
         adj.append(adj_x)
@@ -238,7 +230,6 @@ class WorkingGraph:
         owned.append(1)
         alive.append(True)
         live_degree.append(len(adj_x))
-        self.alive_count += 1
         for t in adj_x:
             # x is the largest id so far, so the list stays ascending.
             if owned[t]:
@@ -263,7 +254,7 @@ class WorkingGraph:
         """
         alive = self.alive
         adj = self.adj
-        if self.alive_count == len(alive):
+        if all(alive):
             # Nothing died, so nothing was folded: every list is still the
             # base's own, and the graph shares them. A later fold copies a
             # list before it extends it, so the snapshot stays as it is.
@@ -290,5 +281,3 @@ class WorkingGraph:
             for u in nbrs:
                 if v not in self.alive_neighbors(u):
                     raise AssertionError(f"asymmetric live edge {v}-{u}")
-        if self.alive_count != sum(self.alive):
-            raise AssertionError("alive_count out of sync")

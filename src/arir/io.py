@@ -164,7 +164,9 @@ def write_metis(graph: StaticGraph, path: str) -> None:
 def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
     """Read a whitespace-separated "u v" edge list; '#'/'%' lines are comments.
 
-    index_base "auto" treats the file as 1-based when the smallest id is 1.
+    index_base "auto" reads the file as 0-based when its smallest id is 0
+    and raises ParseError for any other smallest id, whose base the file
+    does not show.
     """
     check_read_options("edgelist", index_base)
     pairs: list[tuple[int, int]] = []
@@ -189,10 +191,12 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
                 min_id = low
     if not pairs:
         raise ParseError(f"{path}: empty graph undefined")
-    base = 1 if str(index_base) == "1" else 0
-    if index_base == "auto" and min_id == 1:
-        base = 1
-    if base == 1:
+    if index_base == "auto" and min_id != 0:
+        raise ParseError(
+            f"{path}: smallest vertex id is {min_id}, so the index base is"
+            " ambiguous; pass --index-base 0 or 1"
+        )
+    if str(index_base) == "1":
         if min_id == 0:
             raise ParseError(f"{path}: id 0 present in a 1-based edge list")
         pairs = [(u - 1, v - 1) for u, v in pairs]

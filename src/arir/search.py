@@ -31,9 +31,9 @@ class LiveView(StaticGraph):
         return view
 
 
-# A perturbation picks uniformly among the oldest free_count // _WINDOW_SHARE
-# + 1 entries of the age queue, about the rank a 64-draw tournament's winner
-# would have.
+# A perturbation picks uniformly among the oldest free // _WINDOW_SHARE + 1
+# entries of the age queue, where free counts the free vertices; that is about
+# the rank a 64-draw tournament's winner would have.
 _WINDOW_SHARE = 32
 # The age queue is compacted once its dead prefix is over half of it and
 # longer than this.
@@ -53,10 +53,6 @@ class SolutionState:
     stamped, so live entries are in nondecreasing last_out order. Entry i is
     live iff _age_pos[age[i]] == i; solution vertices have _age_pos -1. No
     live entry precedes _age_head.
-
-    swap_free records that no (1,2)-swap remains once the pending tightness
-    transitions are drained, so an incremental exhaust_swaps() suffices; the
-    first seeded exhaustion sets it and incremental exhaustion keeps it.
     """
 
     __slots__ = (
@@ -67,8 +63,6 @@ class SolutionState:
         "last_out",
         "size",
         "iteration",
-        "free_count",
-        "swap_free",
         "touches",
         "max_iter_touches",
         "_age",
@@ -101,8 +95,6 @@ class SolutionState:
             pos[v] = i
         self._age_pos = pos
         self._age_head = 0
-        self.free_count = len(age)
-        self.swap_free = False
         self.touches = 0
         self.max_iter_touches = 0
         self._zero_heap: list[int] = []
@@ -120,7 +112,6 @@ class SolutionState:
         self.in_sol[v] = 1
         self.size += 1
         self._age_pos[v] = -1
-        self.free_count -= 1
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -138,7 +129,6 @@ class SolutionState:
         age = self._age
         self._age_pos[v] = len(age)
         age.append(v)
-        self.free_count += 1
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -228,17 +218,13 @@ class SolutionState:
                         return (u, w)
         return None
 
-    def exhaust_swaps(self, seed_all: bool = False) -> int:
+    def exhaust_swaps(self) -> int:
         """Apply (1,2)-swaps until none applies to any queued solution vertex.
 
-        With seed_all, every current solution vertex is examined, which makes
-        the exhaustion complete from any starting state and sets swap_free;
-        afterwards the queue is fed incrementally by tightness transitions.
+        greedy_init queues every solution vertex, and afterwards tightness
+        transitions requeue each vertex whose swap bucket may have grown, so
+        no swap remains when this returns.
         """
-        if seed_all:
-            for v in range(self.view.vertex_count):
-                if self.in_sol[v]:
-                    self._enqueue(v)
         self._drain_one_buf()
         queue = self._queue
         in_queue = self._in_queue
@@ -258,15 +244,13 @@ class SolutionState:
             swaps += 1
             self.maintain_maximality()
             self._drain_one_buf()
-        if seed_all:
-            self.swap_free = True
         return swaps
 
     def _age_pick(self, batch: list[int]) -> int | None:
         """Pick a free vertex biased toward the oldest removal timestamp: one
         uniform draw over the oldest window of the age queue, falling back to
         the oldest live entry on a dead slot. Redraw when the pick is
-        adjacent to an already-forced vertex. Needs free_count >= 1."""
+        adjacent to an already-forced vertex. Needs a free vertex."""
         pos = self._age_pos
         age = self._age
         h = self._age_head
@@ -277,9 +261,10 @@ class SolutionState:
             age = self._age
             h = 0
         self._age_head = h
-        # The window holds at most free_count entries, so it ends inside the
-        # queue: at least free_count live entries lie at or after h.
-        window = self.free_count // _WINDOW_SHARE + 1
+        # The window holds at most free entries, so it ends inside the queue:
+        # at least that many live entries lie at or after h.
+        free = self.view.vertex_count - self.size
+        window = free // _WINDOW_SHARE + 1
         rng = self.rng
         has_edge = self.view.has_edge
         for _attempt in range(16):
@@ -303,23 +288,24 @@ class SolutionState:
         self._age = live
         self._age_head = 0
 
-    def perturb(self) -> set[int]:
+    def perturb(self) -> list[int]:
         """Force one or more free vertices into the solution, evicting their
         solution neighbors, then restore maximality.
 
         The force count c follows P(c=k) = 2^-k (fair coin until tails),
         capped; forced vertices within a batch are pairwise non-adjacent.
-        Returns the forced set; no-op when no free vertex exists.
+        Returns the forced vertices; no-op when no free vertex exists.
         """
-        if not self.free_count:
-            return set()
+        n = self.view.vertex_count
+        if self.size == n:
+            return []
         rng = self.rng
         c = 1
         while c < _FORCE_CAP and rng.random() < 0.5:
             c += 1
         forced: list[int] = []
         for _ in range(c):
-            if not self.free_count:
+            if self.size == n:
                 break
             v = self._age_pick(forced)
             if v is None:
@@ -327,7 +313,7 @@ class SolutionState:
             self._force_insert(v)
             forced.append(v)
         self.maintain_maximality()
-        return set(forced)
+        return forced
 
     def _force_insert(self, v: int) -> None:
         adj = self.view.adjacency[v]
@@ -354,8 +340,6 @@ class SolutionState:
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
         free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
-        if self.free_count != len(free):
-            raise AssertionError(f"free_count {self.free_count} != recount {len(free)}")
         # Exactly one live entry per free vertex, none before the head, and
         # live entries in nondecreasing age.
         age, pos = self._age, self._age_pos
@@ -384,7 +368,7 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     deg = [len(a) for a in adj]
     status = bytearray(n)  # 0 undecided, 1 selected, 2 deleted
     # Filled in ascending id, so every bucket starts out a valid heap.
-    buckets: list[list[int]] = [[] for _ in range(view.max_degree + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, d in enumerate(deg):
         buckets[d].append(v)
     low = 0
@@ -408,9 +392,11 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
                         heappush(buckets[d], t)
                         if d < low:
                             low = d
+    # Queue every pick for the first swap exhaustion, in ascending id.
     for v in range(n):
         if status[v] == 1:
             state._insert(v)
+            state._enqueue(v)
     state._one_buf.clear()
     return state
 
@@ -431,13 +417,11 @@ def find_one_two_swap(state: SolutionState) -> tuple[int, int, int] | None:
 def arw_block(state: SolutionState, m: int) -> set[int]:
     """Run m iterations of (perturb, exhaust swaps) and return the best
     solution observed, the input included, in working-graph ids. Tracks the
-    largest per-iteration touch count in state.max_iter_touches. The full
-    swap rescan at the start runs only while the state is not yet known to
-    be swap-free."""
+    largest per-iteration touch count in state.max_iter_touches."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
     if m > 0 and state.size < state.view.vertex_count:
-        state.exhaust_swaps(seed_all=not state.swap_free)
+        state.exhaust_swaps()
         if state.size > best_size:
             best_mask = bytes(state.in_sol)
             best_size = state.size

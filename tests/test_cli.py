@@ -89,6 +89,20 @@ def test_solve_parse_failure_exit2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_edge_list_without_zero_needs_index_base(tmp_path, capsys):
+    # 1 2 / 2 3 is the path 0-1-2 if 1-based, or a 4-vertex graph with
+    # vertex 0 isolated if 0-based.
+    edges = tmp_path / "p3.edges"
+    edges.write_text("1 2\n2 3\n")
+    assert main(["solve", "--input", str(edges), "--max-blocks", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--index-base 0 or 1" in captured.err and captured.out == ""
+    for base, size in (("1", 2), ("0", 3)):
+        argv = ["solve", "--input", str(edges), "--max-blocks", "1"]
+        assert main(argv + ["--index-base", base]) == 0
+        assert json.loads(capsys.readouterr().out)["best_size"] == size
+
+
 def test_solve_bad_config_exit2(tmp_path, capsys):
     graph_path = metis_file(tmp_path, path(3), "p3.graph")
     assert main(["solve", "--input", graph_path, "--time-limit", "0"]) == 2

@@ -79,16 +79,22 @@ def test_metis_rejects_wrong_edge_count(tmp_path):
 
 
 def test_edgelist_auto_base_detection(tmp_path):
-    one_based = tmp_path / "a.edges"
-    one_based.write_text("# comment\n1 2\n2 3\n")
-    g = read_edgelist(str(one_based))
+    zero_based = tmp_path / "a.edges"
+    zero_based.write_text("# comment\n0 1\n1 2\n")
+    g = read_edgelist(str(zero_based))
     assert g.vertex_count == 3
     assert g.has_edge(0, 1) and g.has_edge(1, 2)
+    assert read_edgelist(str(zero_based), index_base="0") == g
 
-    zero_based = tmp_path / "b.edges"
-    zero_based.write_text("0 1\n1 2\n")
-    g0 = read_edgelist(str(zero_based))
-    assert g0 == g
+    # Without a 0 the file does not show its base: it may be 1-based, or
+    # 0-based with its lowest vertices isolated.
+    for name, text, low in (("b.edges", "1 2\n2 3\n", 1), ("c.edges", "3 2\n", 2)):
+        target = tmp_path / name
+        target.write_text(text)
+        message = f"smallest vertex id is {low},.*--index-base 0 or 1"
+        with pytest.raises(ParseError, match=message):
+            read_edgelist(str(target))
+    assert read_edgelist(str(tmp_path / "b.edges"), index_base="1") == g
 
 
 def test_edgelist_base_override(tmp_path):

@@ -33,9 +33,11 @@ def fresh_state(g, seed=0):
 
 
 def manual_state(g, solution, rng=None):
+    # Queued in ascending id for the first swap exhaustion, as greedy_init does.
     state = SolutionState(view_of(g), rng or random.Random(0))
     for v in sorted(solution):
         state._insert(v)
+        state._enqueue(v)
     state._zero_heap.clear()
     state._one_buf.clear()
     return state
@@ -199,7 +201,7 @@ def test_swap_sound_and_complete_small():
 def test_perturb_force_one_on_p3():
     state = manual_state(path(3), {0, 2}, rng=ScriptedRng(uniforms=[0.9]))
     forced = state.perturb()
-    assert forced == {1}
+    assert forced == [1]
     assert state.solution_set() == {1}
     state.audit()
     assert is_maximal(path(3), state.solution_set())
@@ -228,7 +230,7 @@ def test_perturb_noop_without_free_vertices():
     g = build_graph([], vertex_count_hint=3)
     state = fresh_state(g)
     assert state.size == 3
-    assert state.perturb() == set()
+    assert state.perturb() == []
 
 
 def test_force_count_distribution():
@@ -297,7 +299,8 @@ def test_exhaustion_leaves_no_swap():
     for trial in range(40):
         g = gnp(rng.randint(8, 50), rng.uniform(0.05, 0.4), rng)
         state = fresh_state(g, trial)
-        state.exhaust_swaps(seed_all=True)
+        state.exhaust_swaps()
+        assert find_one_two_swap(state) is None
         for _ in range(10):
             state.iteration += 1
             state.perturb()
@@ -328,7 +331,7 @@ def test_perturb_picks_from_the_oldest_window(monkeypatch):
             free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
             forced = state.perturb()
             state.exhaust_swaps()
-            assert forced <= set(free)
+            assert set(forced) <= set(free)
         # With one forced vertex per call, the pick comes from the window of
         # the state just before the call.
         with monkeypatch.context() as patch:
@@ -343,7 +346,7 @@ def test_perturb_picks_from_the_oldest_window(monkeypatch):
                 forced = state.perturb()
                 state.exhaust_swaps()
                 assert len(forced) == 1
-                assert last_out[next(iter(forced))] <= ages[len(ages) // 32]
+                assert last_out[forced[0]] <= ages[len(ages) // 32]
         state.audit()
 
 
@@ -357,7 +360,10 @@ def test_arw_block_leaves_no_swap():
             assert find_one_two_swap(state) is None
 
 
-def test_skipped_rescan_matches_full_rescan():
+def test_greedy_queue_matches_full_rescan():
+    # The rescanning state queues every solution vertex in ascending id
+    # before each block; the other relies on the queue greedy_init left and
+    # the tightness transitions since.
     rng = random.Random(29)
     for trial in range(20):
         g = gnp(rng.randint(10, 80), rng.uniform(0.03, 0.3), rng)
@@ -366,7 +372,9 @@ def test_skipped_rescan_matches_full_rescan():
             bests = []
             for state, rescan in zip(states, (False, True)):
                 if rescan:
-                    state.swap_free = False
+                    for v in range(state.view.vertex_count):
+                        if state.in_sol[v]:
+                            state._enqueue(v)
                 bests.append(arw_block(state, 25))
             assert bests[0] == bests[1]
             assert states[0].solution_set() == states[1].solution_set()

@@ -178,7 +178,7 @@ def test_rir_reduce_empty_intersection_full_copy():
     _record_all(rs, [{0}, {2}])
     S, working = rir_reduce(g, rs.intersection)
     assert S == set()
-    assert working.alive_count == 5
+    assert sum(working.alive) == 5
 
 
 def test_rir_reduce_c5():
