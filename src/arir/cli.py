@@ -14,7 +14,7 @@ from .graph import ContractError, edge_inside, free_vertex
 from .io import GRAPH_FORMATS, INDEX_BASES, read_graph, read_solution
 from .io import write_metis, write_solution
 from .oracle import exact_mis
-from .reductions import RULESETS, kernelize
+from .reductions import TIERS, kernelize
 from .solver import VARIANTS, RunConfig, run
 
 log = logging.getLogger("arir")
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kern = sub.add_parser("kernelize", help="reduce an instance to its kernel")
     _add_input_args(p_kern)
-    p_kern.add_argument("--ruleset", choices=sorted(RULESETS), default="advanced")
+    p_kern.add_argument("--ruleset", choices=TIERS, default="advanced")
     p_kern.add_argument("--kernel-out", metavar="PATH")
     p_kern.add_argument("--log-out", metavar="PATH")
 

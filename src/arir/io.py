@@ -82,15 +82,18 @@ def read_metis(path: str) -> StaticGraph:
 
     Every edge must be listed from both ends exactly once (no line repeats
     an entry or lists its own vertex), and m must be the edge count. Missing
-    trailing lines are isolated vertices.
+    trailing lines are isolated vertices; only blank lines may follow the
+    n-th vertex line. Errors name lines as they are numbered in the file.
     """
     with open_text(path) as fh:
-        lines = [ln for ln in fh if not ln.lstrip().startswith("%")]
+        lines = [
+            (no, ln) for no, ln in enumerate(fh, 1) if not ln.lstrip().startswith("%")
+        ]
     if not lines:
         raise ParseError(f"{path}: empty metis file")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if len(header) < 2:
-        raise ParseError(f"{path}: metis header needs 'n m', got {lines[0]!r}")
+        raise ParseError(f"{path}: metis header needs 'n m', got {lines[0][1]!r}")
     n = _parse_id(header[0], f"{path} header")
     m = _parse_id(header[1], f"{path} header")
     if len(header) >= 3 and header[2].strip("0") != "":
@@ -101,7 +104,7 @@ def read_metis(path: str) -> StaticGraph:
     # file it equals each line's sorted entries, so it becomes the adjacency.
     listed_by: list[list[int]] = [[] for _ in range(n)]
     rows: list[list[int]] = []
-    for i, line in enumerate(lines[1 : n + 1]):
+    for i, (no, line) in enumerate(lines[1 : n + 1]):
         toks = line.split()
         try:
             row = sorted([int(t) - 1 for t in toks])
@@ -113,10 +116,13 @@ def read_metis(path: str) -> StaticGraph:
             or i in row
             or len(set(row)) != len(row)
         ):
-            _reject_metis_line(toks, i, n, f"{path} line {i + 2}")
+            _reject_metis_line(toks, i, n, f"{path} line {no}")
         rows.append(row)
         for u in row:
             listed_by[u].append(i)
+    for no, line in lines[n + 1 :]:
+        if line.strip():
+            raise ParseError(f"{path} line {no}: text after the {n} vertex lines")
     rows.extend([] for _ in range(n - len(rows)))
     if rows != listed_by:
         v = next(v for v in range(n) if rows[v] != listed_by[v])

@@ -1,9 +1,11 @@
 """Exact reduction rules, the worklist fixpoint driver, and solution lifting.
 
-Two tiers are provided: the simple tier (degree-0/1, triangle, chordless
-quadrilateral, restricted degree-2 folding) used inside search rounds, and
-the advanced tier (unrestricted folding, domination, twins sharing an edge)
-used for preprocessing. Every rule removes vertices while preserving the
+Three tiers are provided, each a name in TIERS: the light tier (degree-0/1
+and unrestricted degree-2 folding), the simple tier (degree-0/1, triangle,
+chordless quadrilateral, restricted degree-2 folding) used inside search
+rounds, and the advanced tier (the simple tier's rules with unrestricted
+folding, plus domination and twins sharing an edge). The light and advanced
+tiers serve preprocessing. Every rule removes vertices while preserving the
 optimum up to a known offset, recorded in a replayable undo log.
 """
 
@@ -16,13 +18,7 @@ from itertools import compress
 
 from .graph import StaticGraph, WorkingGraph, check_solution
 
-RULESETS = {
-    "simple": frozenset({"zero", "one", "triangle", "quadrilateral", "fold_restricted"}),
-    "advanced": frozenset(
-        {"zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"}
-    ),
-    "light": frozenset({"zero", "one", "fold"}),
-}
+TIERS = ("light", "simple", "advanced")
 
 # Ids after each tag of a kernel-log line.
 _RECORD_IDS = {"K": 2, "F": 1, "D": 4}
@@ -342,7 +338,7 @@ def rule_twin_edge(
     return True
 
 
-def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -> bool:
+def _apply_first(W: WorkingGraph, v: int, tier: str, log: ReductionLog) -> bool:
     # A rule that does not fire changes nothing, so v's degree and live
     # neighbors are read once, and only the rules that can fire at them are
     # called. Every tier has the degree-0 and degree-1 rules and one of the
@@ -359,10 +355,10 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
         nbrs = W.alive_neighbors(v)
         W.check_steps += 1
         if W.adjacent(*nbrs):
-            return "triangle" in rules and rule_triangle(W, v, log, nbrs)
-        if "quadrilateral" in rules and rule_quadrilateral(W, v, log, nbrs):
+            return tier != "light" and rule_triangle(W, v, log, nbrs)
+        if tier != "light" and rule_quadrilateral(W, v, log, nbrs):
             return True
-        if "fold" in rules:
+        if tier != "simple":
             return rule_fold2(W, v, log, nbrs=nbrs)
         if rule_fold2(W, v, log, restricted=True, nbrs=nbrs):
             return True
@@ -372,13 +368,13 @@ def _apply_first(W: WorkingGraph, v: int, rules: frozenset, log: ReductionLog) -
             if W.live_degree[u] == 2 and rule_fold2(W, u, log, restricted=True):
                 return True
         return False
-    if "domination" not in rules:
+    if tier != "advanced":
         return False
     nbrs = W.alive_neighbors(v)
     return (
         rule_domination(W, v, nbrs)
         or _dominates_neighbor(W, v, nbrs)
-        or (d == 3 and "twin_edge" in rules and rule_twin_edge(W, v, log, nbrs))
+        or (d == 3 and rule_twin_edge(W, v, log, nbrs))
     )
 
 
@@ -392,7 +388,8 @@ def run_to_fixpoint(
     kernels are deterministic for a fixed input. Returns the log's list of
     vertices fixed into the solution (log.fixed itself) and the undo log.
     """
-    rules = RULESETS[tier]
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
     log = ReductionLog()
     W.touched.clear()
     alive = W.alive
@@ -403,7 +400,7 @@ def run_to_fixpoint(
         in_queue[v] = False
         if not alive[v]:
             continue
-        if _apply_first(W, v, rules, log):
+        if _apply_first(W, v, tier, log):
             touched = W.touched
             if len(in_queue) < len(alive):
                 in_queue.extend([False] * (len(alive) - len(in_queue)))

@@ -72,8 +72,6 @@ class SolutionState:
         "_one_buf",
         "_queue",
         "_in_queue",
-        "_mark",
-        "_stamp",
     )
 
     def __init__(self, view: LiveView, rng: random.Random):
@@ -101,8 +99,6 @@ class SolutionState:
         self._one_buf: list[int] = []
         self._queue: deque[int] = deque()
         self._in_queue = bytearray(n)
-        self._mark = [0] * n
-        self._stamp = 0
 
     def solution_set(self) -> set[int]:
         """The solution in working-graph ids."""
@@ -185,8 +181,13 @@ class SolutionState:
         """Two non-adjacent 1-tight neighbors of solution vertex x, if any.
 
         Bucket members are exactly the free neighbors with tightness 1 (their
-        sole solution neighbor is necessarily x). Costs O(d(x) + sum of
-        bucket degrees), which keeps a full sweep within O(edge count).
+        sole solution neighbor is necessarily x). Each candidate u is tested
+        against the set of its own neighbors; the first u with a non-neighbor
+        in the bucket is the smallest member of any non-adjacent pair. A
+        candidate without a partner is adjacent to every other member, so its
+        bucket scan costs no more than its degree, and the whole probe costs
+        O(d(x) + sum of bucket degrees), which keeps a full sweep within
+        O(edge count).
         """
         adj = self.view.adjacency
         adj_x = adj[x]
@@ -195,27 +196,13 @@ class SolutionState:
         bucket = [u for u in adj_x if tight[u] == 1]
         if len(bucket) < 2:
             return None
-        mark = self._mark
-        self._stamp += 1
-        s = self._stamp
-        for u in bucket:
-            mark[u] = s
-        need = len(bucket) - 1
         for u in bucket:
             adj_u = adj[u]
             self.touches += len(adj_u)
-            c = 0
-            for y in adj_u:
-                if mark[y] == s:
-                    c += 1
-            if c < need:
-                self._stamp += 1
-                s2 = self._stamp
-                for y in adj_u:
-                    mark[y] = s2
-                for w in bucket:
-                    if w != u and mark[w] != s2:
-                        return (u, w)
+            nbrs_u = set(adj_u)
+            for w in bucket:
+                if w != u and w not in nbrs_u:
+                    return (u, w)
         return None
 
     def exhaust_swaps(self) -> int:
@@ -319,9 +306,9 @@ class SolutionState:
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         in_sol = self.in_sol
-        evicted = [w for w in adj if in_sol[w]]
-        for w in evicted:
-            self._remove(w)
+        for w in adj:
+            if in_sol[w]:
+                self._remove(w)
         self._insert(v)
 
     def audit(self) -> None:

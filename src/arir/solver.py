@@ -37,8 +37,9 @@ class RunConfig:
 
     n, the stagnation-test period in iterations (default 10 * m), is rounded
     up to whole blocks of m, and each test judges every block of its period.
-    m, n and max_blocks are ints; max_blocks switches the cutoff from
-    wall-clock seconds to an exact block count (deterministic end-to-end).
+    m, n and max_blocks are ints and cutoff_seconds is an int or a float;
+    max_blocks switches the cutoff from wall-clock seconds to an exact block
+    count (deterministic end-to-end).
     target_size stops early once the incumbent reaches it.
     """
 
@@ -63,6 +64,8 @@ class RunConfig:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         n = ((n + self.m - 1) // self.m) * self.m
+        if type(self.cutoff_seconds) not in (int, float):
+            raise ValueError(f"cutoff must be a number, got {self.cutoff_seconds!r}")
         if self.max_blocks is None and not self.cutoff_seconds > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff_seconds}")
         if self.max_blocks is not None and self.max_blocks < 0:

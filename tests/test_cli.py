@@ -485,6 +485,8 @@ def test_bench_bad_read_options_and_fractional_counts_rejected(tmp_path, capsys)
         ("m", 10.5, "m must be an int"),
         ("n", 20.0, "n must be an int"),
         ("max_blocks", 1.5, "max_blocks must be an int"),
+        ("cutoff_s", True, "cutoff"),
+        ("cutoff_s", "60", "cutoff"),
     ):
         entry = {
             "instance_path": c5,

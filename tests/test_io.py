@@ -71,6 +71,26 @@ def test_metis_rejects_unpaired_neighbors(tmp_path):
             read_metis(str(target))
 
 
+def test_metis_names_file_lines_and_rejects_extra_lines(tmp_path):
+    cases = {
+        # Comment lines count: the self-listing sits on the file's line 4.
+        "comment_before_self": ("% c\n2 1\n2\n2\n", "line 4: vertex 2 lists itself"),
+        # A third vertex line in a 2-vertex file would be dropped unread.
+        "extra_vertex_line": ("2 1\n2\n1\n3 1\n", "line 4: text after the 2 vertex"),
+        "extra_after_blank": ("1 0\n\n\n5\n", "line 4: text after the 1 vertex lines"),
+    }
+    for name, (text, message) in cases.items():
+        target = tmp_path / f"{name}.graph"
+        target.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_metis(str(target))
+    # Trailing blank lines and comments after the last vertex line still read.
+    target = tmp_path / "trailing.graph"
+    target.write_text("2 1\n2\n1\n\n  \n% end\n\n")
+    g = read_metis(str(target))
+    assert g.vertex_count == 2 and g.has_edge(0, 1)
+
+
 def test_metis_rejects_wrong_edge_count(tmp_path):
     target = tmp_path / "count.graph"
     target.write_text("3 3\n2\n1 3\n2\n")

@@ -289,8 +289,20 @@ def test_fixpoint_idempotent():
         assert sum(w.alive) == alive
 
 
-def ungated_apply_first(W, v, rules, log):
+# The reference's own table of each tier's rules, kept apart from the
+# dispatcher's branches.
+TIER_RULES = {
+    "light": {"zero", "one", "fold"},
+    "simple": {"zero", "one", "triangle", "quadrilateral", "fold_restricted"},
+    "advanced": {
+        "zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"
+    },
+}
+
+
+def ungated_apply_first(W, v, tier, log):
     """Reference: try every rule of the tier in order, whatever v's degree."""
+    rules = TIER_RULES[tier]
     W.check_steps += 2
     if "zero" in rules and reductions.rule_zero_vertex(W, v, log):
         return True
@@ -368,6 +380,15 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
             assert gated[3] <= reference[3]
     assert fires[sides[0]] == fires[sides[1]]
     assert all(fires[sides[0]].values()), fires
+
+
+def test_unknown_tier_rejected():
+    for call in (
+        lambda: kernelize(path(4), "bogus"),
+        lambda: run_to_fixpoint(WorkingGraph(path(4)), tier="bogus"),
+    ):
+        with pytest.raises(ValueError, match="light.*simple.*advanced"):
+            call()
 
 
 # Kernel size and digests of the kernel's adjacency and of its log lines on
