@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 from arir import StaticGraph, WorkingGraph, build_graph
-from arir.search import LiveView
+from arir.search import LiveView, SolutionState
 
 # The benchmark's instance generators (perfbench/gen.py), loaded by path.
 _GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -104,6 +104,19 @@ def brute_alpha(g: StaticGraph) -> int:
     return best
 
 
+def find_one_two_swap(state: SolutionState) -> tuple[int, int, int] | None:
+    """Full-sweep search: the first solution vertex (ascending id) owning two
+    non-adjacent 1-tight neighbors, or None when no swap exists. Ids are the
+    view's compact ids."""
+    in_sol = state.in_sol
+    for x in range(state.view.vertex_count):
+        if in_sol[x]:
+            pair = state._find_pair(x)
+            if pair is not None:
+                return (x, pair[0], pair[1])
+    return None
+
+
 def enumerate_swaps(g: StaticGraph, sol: set[int]) -> list[tuple[int, int, int]]:
     """All feasible (1,2)-swaps of a maximal solution, by brute force."""
     out = []
@@ -122,24 +135,11 @@ def enumerate_swaps(g: StaticGraph, sol: set[int]) -> list[tuple[int, int, int]]
 
 
 class ScriptedRng:
-    """random.Random look-alike that replays scripted draws.
+    """random.Random look-alike whose .random() pops from `uniforms`,
+    falling back to 0.99."""
 
-    .random() pops from `uniforms` (falling back to 0.99), .randrange() pops
-    from `indices` reduced modulo the bound (falling back to 0), and
-    .shuffle() leaves the order as it is.
-    """
-
-    def __init__(self, uniforms=(), indices=()):
+    def __init__(self, uniforms=()):
         self.uniforms = list(uniforms)
-        self.indices = list(indices)
 
     def random(self) -> float:
         return self.uniforms.pop(0) if self.uniforms else 0.99
-
-    def randrange(self, bound: int) -> int:
-        if self.indices:
-            return self.indices.pop(0) % bound
-        return 0
-
-    def shuffle(self, seq: list) -> None:
-        pass
