@@ -213,6 +213,8 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         block_best = arw_block(rs.state, cfg.m)
         blocks += 1
         improved = len(block_best) > len(rs.current_best)
+        if improved:
+            rs.current_best = block_best
         period_improved = period_improved or improved
 
         restart = False
@@ -231,9 +233,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
                 len(rs.S),
                 rs.state.view.vertex_count,
             )
-        elif improved:
-            rs.current_best = block_best
-        else:
+        elif not improved:
             continue
         lifted = rs.lift(rs.current_best)
         if restart:

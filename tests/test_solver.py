@@ -25,6 +25,7 @@ from arir.solver import (
 )
 from helpers import (
     ScriptedRng,
+    bench_gen,
     brute_alpha,
     cycle,
     gnp,
@@ -137,6 +138,39 @@ def test_stagnation_test_judges_the_whole_period(monkeypatch):
     assert len(target) > 10
     assert result.solution == set(target)
     assert result.stats["restarts"] == 0
+
+
+def test_record_intersects_the_latest_improving_block(monkeypatch):
+    # At a test boundary the recorded set is the round's best with the block
+    # just run counted: the latest block that improved on the round, or the
+    # greedy start when none did.
+    round_best, last_improved, boundaries = {}, [False], []
+    block, record = arir.solver.arw_block, RoundState.record
+
+    def tracked_block(state, m):
+        best = round_best.setdefault(state, state.solution_set())
+        block_best = block(state, m)
+        last_improved[0] = len(block_best) > len(best)
+        if last_improved[0]:
+            round_best[state] = block_best
+        return block_best
+
+    def checked_record(self):
+        assert self.current_best == round_best[self.state]
+        boundaries.append(last_improved[0])
+        record(self)
+
+    monkeypatch.setattr(arir.solver, "arw_block", tracked_block)
+    monkeypatch.setattr(RoundState, "record", checked_record)
+    n, edges = bench_gen.mesh(30, random.Random(1))
+    g = build_graph(edges, vertex_count_hint=n)
+    restarts = 0
+    for seed in range(1, 4):
+        cfg = RunConfig(variant="arir3", m=20, n=20, max_blocks=60, seed=seed)
+        restarts += run(g, cfg).stats["restarts"]
+    # Some boundary falls right after an improving block, and some restart
+    # starts a new round.
+    assert any(boundaries) and restarts > 0
 
 
 def _round_state(g, seed=1):
