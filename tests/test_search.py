@@ -425,7 +425,12 @@ PINNED_TRAJECTORIES = [
 ]
 
 
-@pytest.mark.parametrize("seed,bests,touches,digest", PINNED_TRAJECTORIES)
+# Ids name the seed only, so a re-pin keeps the test names.
+@pytest.mark.parametrize(
+    "seed,bests,touches,digest",
+    PINNED_TRAJECTORIES,
+    ids=[f"seed{pin[0]}" for pin in PINNED_TRAJECTORIES],
+)
 def test_search_trajectory_pinned(seed, bests, touches, digest):
     n, edges = bench_gen.mesh(60, random.Random(1))
     kernel = kernelize(build_graph(edges, vertex_count_hint=n), "light").kernel
