@@ -239,8 +239,8 @@ class SolutionState:
         and those within a batch are pairwise non-adjacent.
         Returns the forced vertices; no-op when no free vertex exists.
         """
-        n = self.view.vertex_count
-        if self.size == n:
+        free = self._free
+        if not free:
             return []
         rng = self.rng
         c = 1
@@ -248,7 +248,7 @@ class SolutionState:
             c += 1
         forced: list[int] = []
         for _ in range(c):
-            if self.size == n:
+            if not free:
                 break
             v = self._pick(forced)
             if v is None:
