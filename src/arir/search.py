@@ -1,10 +1,10 @@
 """Perturbation-and-swap local search over a frozen working graph.
 
 The search keeps a maximal independent set and improves it in blocks of
-iterations. Each iteration forces one or more free vertices, each a uniform
-draw, into the solution, evicts their solution neighbors, and then exhausts
-(1,2)-swaps: a solution vertex leaves while two of its non-adjacent,
-singly-covered neighbors join.
+iterations. Each iteration forces one or more long-absent vertices into the
+solution, evicts their solution neighbors, and then exhausts (1,2)-swaps: a
+solution vertex leaves while two of its non-adjacent, singly-covered
+neighbors join.
 """
 
 from __future__ import annotations
@@ -31,20 +31,28 @@ class LiveView(StaticGraph):
         return view
 
 
+# A perturbation picks uniformly among the oldest free // _WINDOW_SHARE + 1
+# entries of the age queue, where free counts the free vertices; that is about
+# the rank a 64-draw tournament's winner would have.
+_WINDOW_SHARE = 32
+# The age queue is compacted once its dead prefix is over half of it and
+# longer than this.
+_COMPACT_MIN = 4096
 # Most vertices one perturbation forces.
 _FORCE_CAP = 32
 
 
 class SolutionState:
     """Independent set plus the counters the search needs: per-vertex
-    tightness (number of solution neighbors), a list of the free vertices,
-    and a seeded RNG. Vertices are the view's compact ids. Single-owner,
-    single-threaded.
+    tightness (number of solution neighbors), last-removal timestamps, an
+    age queue of free vertices, and a seeded RNG. Vertices are the view's
+    compact ids. Single-owner, single-threaded.
 
-    The free list is positional: _free holds every vertex outside the
-    solution, in no particular order, and _free_pos[v] is v's index in it
-    while v is free. A vertex that leaves the solution is appended; one that
-    joins is swap-removed, so both are O(1), and so is a uniform draw.
+    The age queue is an append-only list with lazy deletion. A vertex is
+    appended when it leaves the solution, right after its last_out is
+    stamped, so live entries are in nondecreasing last_out order. Entry i is
+    live iff _age_pos[age[i]] == i; solution vertices have _age_pos -1. No
+    live entry precedes _age_head.
     """
 
     __slots__ = (
@@ -52,11 +60,14 @@ class SolutionState:
         "rng",
         "in_sol",
         "tight",
+        "last_out",
         "size",
+        "iteration",
         "touches",
         "max_iter_touches",
-        "_free",
-        "_free_pos",
+        "_age",
+        "_age_pos",
+        "_age_head",
         "_zero_heap",
         "_one_buf",
         "_queue",
@@ -69,9 +80,19 @@ class SolutionState:
         self.rng = rng
         self.in_sol = bytearray(n)
         self.tight = [0] * n
+        self.last_out = [0] * n
         self.size = 0
-        self._free = list(range(n))
-        self._free_pos = list(range(n))
+        self.iteration = 1
+        # Every vertex starts free with age 0; the shuffle keeps the first
+        # picks from favouring low ids.
+        age = list(range(n))
+        rng.shuffle(age)
+        self._age = age
+        pos = [-1] * n
+        for i, v in enumerate(age):
+            pos[v] = i
+        self._age_pos = pos
+        self._age_head = 0
         self.touches = 0
         self.max_iter_touches = 0
         self._zero_heap: list[int] = []
@@ -86,12 +107,7 @@ class SolutionState:
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
         self.size += 1
-        free = self._free
-        last = free.pop()
-        if last != v:
-            i = self._free_pos[v]
-            free[i] = last
-            self._free_pos[last] = i
+        self._age_pos[v] = -1
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -105,8 +121,10 @@ class SolutionState:
     def _remove(self, v: int) -> None:
         self.in_sol[v] = 0
         self.size -= 1
-        self._free_pos[v] = len(self._free)
-        self._free.append(v)
+        self.last_out[v] = self.iteration
+        age = self._age
+        self._age_pos[v] = len(age)
+        age.append(v)
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -215,14 +233,32 @@ class SolutionState:
             self._drain_one_buf()
         return swaps
 
-    def _pick(self, batch: list[int]) -> int | None:
-        """Draw a free vertex uniformly, redrawing when it is adjacent to an
-        already-forced vertex of the batch. Needs a free vertex."""
-        free = self._free
+    def _age_pick(self, batch: list[int]) -> int | None:
+        """Pick a free vertex biased toward the oldest removal timestamp: one
+        uniform draw over the oldest window of the age queue, falling back to
+        the oldest live entry on a dead slot. Redraw when the pick is
+        adjacent to an already-forced vertex. Needs a free vertex."""
+        pos = self._age_pos
+        age = self._age
+        h = self._age_head
+        while pos[age[h]] != h:
+            h += 1
+        if h > _COMPACT_MIN and 2 * h > len(age):
+            self._compact()
+            age = self._age
+            h = 0
+        self._age_head = h
+        # The window holds at most free entries, so it ends inside the queue:
+        # at least that many live entries lie at or after h.
+        free = self.view.vertex_count - self.size
+        window = free // _WINDOW_SHARE + 1
         rng = self.rng
         has_edge = self.view.has_edge
         for _attempt in range(16):
-            v = free[int(rng.random() * len(free))]
+            i = h + int(rng.random() * window)
+            v = age[i]
+            if pos[v] != i:
+                v = age[h]
             for b in batch:
                 if has_edge(v, b):
                     break
@@ -230,17 +266,25 @@ class SolutionState:
                 return v
         return None
 
+    def _compact(self) -> None:
+        """Drop the dead entries of the age queue, keeping live ones in order."""
+        pos = self._age_pos
+        live = [v for i, v in enumerate(self._age) if pos[v] == i]
+        for i, v in enumerate(live):
+            pos[v] = i
+        self._age = live
+        self._age_head = 0
+
     def perturb(self) -> list[int]:
         """Force one or more free vertices into the solution, evicting their
         solution neighbors, then restore maximality.
 
         The force count c follows P(c=k) = 2^-k (fair coin until tails),
-        capped. Each forced vertex is a uniform draw over the free vertices,
-        and those within a batch are pairwise non-adjacent.
+        capped; forced vertices within a batch are pairwise non-adjacent.
         Returns the forced vertices; no-op when no free vertex exists.
         """
-        free = self._free
-        if not free:
+        n = self.view.vertex_count
+        if self.size == n:
             return []
         rng = self.rng
         c = 1
@@ -248,9 +292,9 @@ class SolutionState:
             c += 1
         forced: list[int] = []
         for _ in range(c):
-            if not free:
+            if self.size == n:
                 break
-            v = self._pick(forced)
+            v = self._age_pick(forced)
             if v is None:
                 break
             self._force_insert(v)
@@ -283,11 +327,17 @@ class SolutionState:
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
         free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
-        if sorted(self._free) != free:
-            raise AssertionError("free list out of sync with the free vertices")
-        pos = self._free_pos
-        if any(pos[v] != i for i, v in enumerate(self._free)):
-            raise AssertionError("free-list position out of sync")
+        # Exactly one live entry per free vertex, none before the head, and
+        # live entries in nondecreasing age.
+        age, pos = self._age, self._age_pos
+        live = [v for i, v in enumerate(age) if pos[v] == i]
+        if any(pos[v] == i for i, v in enumerate(age[: self._age_head])):
+            raise AssertionError("live age-queue entry before the head")
+        if sorted(live) != free:
+            raise AssertionError("age queue out of sync with the free vertices")
+        last_out = self.last_out
+        if any(last_out[u] > last_out[w] for u, w in zip(live, live[1:])):
+            raise AssertionError("age queue out of age order")
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
@@ -351,6 +401,7 @@ def arw_block(state: SolutionState, m: int) -> set[int]:
             best_size = state.size
         max_iter = 0
         for _ in range(m):
+            state.iteration += 1
             t0 = state.touches
             state.perturb()
             state.exhaust_swaps()

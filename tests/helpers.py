@@ -135,11 +135,24 @@ def enumerate_swaps(g: StaticGraph, sol: set[int]) -> list[tuple[int, int, int]]
 
 
 class ScriptedRng:
-    """random.Random look-alike whose .random() pops from `uniforms`,
-    falling back to 0.99."""
+    """random.Random look-alike that replays scripted draws.
 
-    def __init__(self, uniforms=()):
+    .random() pops from `uniforms` (falling back to 0.99), .randrange() pops
+    from `indices` reduced modulo the bound (falling back to 0), and
+    .shuffle() leaves the order as it is.
+    """
+
+    def __init__(self, uniforms=(), indices=()):
         self.uniforms = list(uniforms)
+        self.indices = list(indices)
 
     def random(self) -> float:
         return self.uniforms.pop(0) if self.uniforms else 0.99
+
+    def randrange(self, bound: int) -> int:
+        if self.indices:
+            return self.indices.pop(0) % bound
+        return 0
+
+    def shuffle(self, seq: list) -> None:
+        pass
