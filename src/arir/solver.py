@@ -16,6 +16,8 @@ import logging
 import random
 import time
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import not_
 
 from .graph import StaticGraph, WorkingGraph, check_solution
 from .reductions import (
@@ -97,10 +99,21 @@ def rir_reduce(
     always starts from the frozen kernel, never from a previous reduction."""
     S = set(intersection) if intersection is not None else set()
     working = WorkingGraph(frozen_kernel)
-    # S is independent in the frozen kernel, so each v in S is still alive
-    # when reached, and the result does not depend on the order.
+    alive = working.alive
+    adj = working.adj
+    # Every vertex of the frozen kernel starts alive, so N[S] is marked dead
+    # in one walk over S's lists; then each survivor loses one degree per
+    # dead neighbour. A dead vertex's degree is never read, and nothing is
+    # queued in `touched`.
     for v in S:
-        working.delete_closed_neighborhood(v)
+        alive[v] = False
+        for u in adj[v]:
+            alive[u] = False
+    live_degree = working.live_degree
+    for d in compress(range(len(alive)), map(not_, alive)):
+        for t in adj[d]:
+            if alive[t]:
+                live_degree[t] -= 1
     return S, working
 
 
