@@ -15,6 +15,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
+from operator import and_
 
 from .graph import StaticGraph, WorkingGraph, check_solution
 
@@ -384,19 +385,26 @@ def run_to_fixpoint(
     """Apply the tier's rules until none fires anywhere.
 
     Worklist-driven: after a rule fires, only vertices whose neighborhood
-    changed are re-examined. The worklist is FIFO, seeded in ascending id, so
-    kernels are deterministic for a fixed input. Returns the log's list of
-    vertices fixed into the solution (log.fixed itself) and the undo log.
+    changed are re-examined. There are two worklists: `low` takes vertices
+    whose live degree is at most 2 when they are queued, `high` the rest,
+    and `low` is always drained first; a vertex already on a list stays
+    there. So the cheap degree-0/1/2 rules settle the degrees around a
+    vertex before the domination and twin checks examine it. Both lists are seeded in ascending id, so kernels are
+    deterministic for a fixed input. Returns the log's list of vertices
+    fixed into the solution (log.fixed itself) and the undo log.
     """
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
     log = ReductionLog()
     W.touched.clear()
     alive = W.alive
-    queue = deque(compress(range(len(alive)), alive))
+    live_degree = W.live_degree
+    ids = range(len(alive))
+    low = deque(compress(ids, map(and_, alive, map((3).__gt__, live_degree))))
+    high = deque(compress(ids, map(and_, alive, map((2).__lt__, live_degree))))
     in_queue = alive.copy()
-    while queue:
-        v = queue.popleft()
+    while low or high:
+        v = low.popleft() if low else high.popleft()
         in_queue[v] = False
         if not alive[v]:
             continue
@@ -407,7 +415,10 @@ def run_to_fixpoint(
             for t in touched:
                 if alive[t] and not in_queue[t]:
                     in_queue[t] = True
-                    queue.append(t)
+                    if live_degree[t] < 3:
+                        low.append(t)
+                    else:
+                        high.append(t)
             touched.clear()
     return log.fixed, log
 
