@@ -15,7 +15,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from operator import and_
 
 from .graph import StaticGraph, WorkingGraph, check_solution
 
@@ -389,9 +388,10 @@ def run_to_fixpoint(
     whose live degree is at most 2 when they are queued, `high` the rest,
     and `low` is always drained first; a vertex already on a list stays
     there. So the cheap degree-0/1/2 rules settle the degrees around a
-    vertex before the domination and twin checks examine it. Both lists are seeded in ascending id, so kernels are
-    deterministic for a fixed input. Returns the log's list of vertices
-    fixed into the solution (log.fixed itself) and the undo log.
+    vertex before the domination and twin checks examine it. Both lists are
+    seeded in ascending id, so kernels are deterministic for a fixed input.
+    Returns the log's list of vertices fixed into the solution (log.fixed
+    itself) and the undo log.
     """
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
@@ -399,12 +399,14 @@ def run_to_fixpoint(
     W.touched.clear()
     alive = W.alive
     live_degree = W.live_degree
-    ids = range(len(alive))
-    low = deque(compress(ids, map(and_, alive, map((3).__gt__, live_degree))))
-    high = deque(compress(ids, map(and_, alive, map((2).__lt__, live_degree))))
+    low, high = deque(), deque()
+    # One pass over the alive ids splits them; it costs less than a
+    # compress pass per list.
+    for v in compress(range(len(alive)), alive):
+        (low if live_degree[v] < 3 else high).append(v)
     in_queue = alive.copy()
-    while low or high:
-        v = low.popleft() if low else high.popleft()
+    while queue := low or high:
+        v = queue.popleft()
         in_queue[v] = False
         if not alive[v]:
             continue
@@ -415,10 +417,7 @@ def run_to_fixpoint(
             for t in touched:
                 if alive[t] and not in_queue[t]:
                     in_queue[t] = True
-                    if live_degree[t] < 3:
-                        low.append(t)
-                    else:
-                        high.append(t)
+                    (low if live_degree[t] < 3 else high).append(t)
             touched.clear()
     return log.fixed, log
 
