@@ -436,7 +436,7 @@ def test_kernels_and_logs_pinned(family, tier, size, kernel_digest, log_digest):
 
 def fifo_fixpoint(W, tier):
     """Reference: one FIFO worklist seeded in ascending id, whatever the
-    degrees, as the driver was before it examined low degrees first."""
+    degrees."""
     log = ReductionLog()
     W.touched.clear()
     alive = W.alive
