@@ -71,7 +71,7 @@ def load_manifest(path: str) -> list[BenchEntry]:
             if not (isinstance(variants, list) and variants):
                 raise ValueError("variants must be a non-empty list")
             for variant in variants:
-                replace(config, variant=variant).validated()
+                replace(config, variant=variant)  # raises on an unknown variant
             check_read_options(entry.format, entry.index_base)
             if not os.path.exists(entry.instance_path):
                 raise ValueError(f"instance {entry.instance_path} not found")

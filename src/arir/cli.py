@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--adapt-n",
         type=int,
-        default=defaults.n,
+        default=None,
         help="stagnation-test period in iterations (default: 10 * --m)",
     )
     p_solve.add_argument(
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     with _reading():
-        graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
         config = RunConfig(
             variant=args.variant,
             m=args.m,
@@ -120,7 +119,8 @@ def cmd_solve(args) -> int:
             cutoff_seconds=args.time_limit,
             seed=args.seed,
             max_blocks=args.max_blocks,
-        ).validated()
+        )
+        graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
     try:
         result = run(graph, config)
     except ContractError as exc:

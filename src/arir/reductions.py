@@ -24,19 +24,11 @@ TIERS = ("light", "simple", "advanced")
 _RECORD_IDS = {"K": 2, "F": 1, "D": 4}
 
 
-@dataclass(frozen=True, slots=True)
-class FoldRecord:
-    """One degree-2 fold: `folded` had exactly the two non-adjacent neighbors
-    in `merged`, which were contracted into `new_vertex`."""
-
-    new_vertex: int
-    folded: int
-    merged: tuple[int, int]
-
-
 class ReductionLog:
     """Undo log of one reduction run: the vertices fixed into the solution
-    and the folds, each list in the order the rules wrote it. Lifting a
+    and the folds, each list in the order the rules wrote it. A fold is the
+    tuple (x, u, v, w) of its D line: u had exactly the two non-adjacent
+    neighbors v and w, and the three were contracted into x. Lifting a
     kernel solution through it gives a solution of the graph the log was
     produced on.
 
@@ -51,7 +43,7 @@ class ReductionLog:
 
     def __init__(self):
         self.fixed: list[int] = []
-        self.folds: list[FoldRecord] = []
+        self.folds: list[tuple[int, int, int, int]] = []
         # kernel id -> pre-compaction universe id, set when the alive
         # subgraph was frozen and renumbered.
         self.kernel_map: list[int] | None = None
@@ -70,10 +62,7 @@ class ReductionLog:
         if self.kernel_map is not None:
             lines.extend(f"K {i} {orig}" for i, orig in enumerate(self.kernel_map))
         lines.extend(f"F {v}" for v in self.fixed)
-        lines.extend(
-            f"D {r.new_vertex} {r.folded} {r.merged[0]} {r.merged[1]}"
-            for r in self.folds
-        )
+        lines.extend(f"D {x} {u} {v} {w}" for x, u, v, w in self.folds)
         return lines
 
     @classmethod
@@ -103,8 +92,7 @@ class ReductionLog:
             elif tag == "F":
                 log.fixed.append(ids[0])
             else:
-                x, u, v, w = ids
-                log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
+                log.folds.append(tuple(ids))
         if kernel_lines:
             k = len(kernel_lines)
             kmap = [-1] * k
@@ -235,7 +223,7 @@ def rule_fold2(
     if restricted and (W.live_degree[v] != 2 or W.live_degree[w] != 2):
         return False
     x = W.fold_degree2(u, nbrs)
-    log.folds.append(FoldRecord(new_vertex=x, folded=u, merged=(v, w)))
+    log.folds.append((x, u, v, w))
     return True
 
 
@@ -445,10 +433,11 @@ def extend_solution(kernel_solution: set[int], log: ReductionLog) -> set[int]:
     else:
         solution = set(kernel_solution)
     solution.update(log.fixed)
-    for rec in reversed(log.folds):
-        if rec.new_vertex in solution:
-            solution.remove(rec.new_vertex)
-            solution.update(rec.merged)
+    for x, u, v, w in reversed(log.folds):
+        if x in solution:
+            solution.remove(x)
+            solution.add(v)
+            solution.add(w)
         else:
-            solution.add(rec.folded)
+            solution.add(u)
     return solution

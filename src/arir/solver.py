@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 
@@ -33,12 +33,15 @@ log = logging.getLogger("arir")
 VARIANTS = ("arir1", "arir2", "arir3", "arw")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Tunables for one solver run.
+    """Tunables for one solver run, checked when the config is made: a bad
+    value raises ValueError, so every config that exists is valid.
 
-    n, the stagnation-test period in iterations (default 10 * m), is rounded
-    up to whole blocks of m, and each test judges every block of its period.
+    n, the stagnation-test period in iterations (default 10 * m), is resolved
+    when the config is made: rounded up to whole blocks of m, and each test
+    judges every block of its period. `replace(cfg, m=...)` starts from the
+    n already resolved, not from 10 * the new m; pass n too to change it.
     m, n and max_blocks are ints and cutoff_seconds is an int or a float;
     max_blocks switches the cutoff from wall-clock seconds to an exact block
     count (deterministic end-to-end).
@@ -53,7 +56,7 @@ class RunConfig:
     max_blocks: int | None = None
     target_size: int | None = None
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         for name in ("m", "n", "max_blocks"):
@@ -65,14 +68,13 @@ class RunConfig:
         n = self.n if self.n is not None else 10 * self.m
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        n = ((n + self.m - 1) // self.m) * self.m
         if type(self.cutoff_seconds) not in (int, float):
             raise ValueError(f"cutoff must be a number, got {self.cutoff_seconds!r}")
         if self.max_blocks is None and not self.cutoff_seconds > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff_seconds}")
         if self.max_blocks is not None and self.max_blocks < 0:
             raise ValueError(f"max_blocks must be >= 0, got {self.max_blocks}")
-        return replace(self, n=n)
+        object.__setattr__(self, "n", ((n + self.m - 1) // self.m) * self.m)
 
 
 def adaptive_test(
@@ -188,10 +190,9 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     Returns the best solution found, lifted to the input graph and verified
     independent and maximal, plus a stats record.
     """
-    cfg = config.validated()
     t_start = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    kern = kernelize(graph, "light" if cfg.variant == "arir1" else "advanced")
+    rng = random.Random(config.seed)
+    kern = kernelize(graph, "light" if config.variant == "arir1" else "advanced")
     offset = kern.fixed_count + kern.fold_count
     log.info(
         "kernel: %d of %d vertices remain, %d solution vertices fixed",
@@ -208,22 +209,22 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
 
     # The stagnation test falls after every period-th block (blocks counts
     # across rounds) and judges the whole period; arw never tests.
-    period = 0 if cfg.variant == "arw" else cfg.n // cfg.m
+    period = 0 if config.variant == "arw" else config.n // config.m
     p_centi = 0
     period_improved = False
     blocks = 0
     restarts = 0
     # An empty kernel is solved by kernelization alone: no block runs.
     while GK.vertex_count > 0:
-        if cfg.max_blocks is not None:
-            if blocks >= cfg.max_blocks:
+        if config.max_blocks is not None:
+            if blocks >= config.max_blocks:
                 break
-        elif time.perf_counter() - t_start >= cfg.cutoff_seconds:
+        elif time.perf_counter() - t_start >= config.cutoff_seconds:
             break
-        if cfg.target_size is not None and len(best) + offset >= cfg.target_size:
+        if config.target_size is not None and len(best) + offset >= config.target_size:
             break
 
-        block_best = arw_block(rs.state, cfg.m)
+        block_best = arw_block(rs.state, config.m)
         blocks += 1
         improved = len(block_best) > len(rs.current_best)
         if improved:
@@ -238,7 +239,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
 
         # A restart only follows a block that did not improve.
         if restart:
-            rs = restart_round(GK, rs, cfg, rng)
+            rs = restart_round(GK, rs, config, rng)
             restarts += 1
             log.debug(
                 "restart %d: fixed %d by intersection, %d alive",
@@ -259,9 +260,9 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     solution = extend_solution(best, kern.log)
     check_solution(graph, solution)
     stats = {
-        "variant": cfg.variant,
-        "seed": cfg.seed,
-        "cutoff_s": cfg.cutoff_seconds if cfg.max_blocks is None else None,
+        "variant": config.variant,
+        "seed": config.seed,
+        "cutoff_s": config.cutoff_seconds if config.max_blocks is None else None,
         "kernel_vertices": GK.vertex_count,
         "fixed_by_kernel": offset,
         "rounds": restarts + 1,

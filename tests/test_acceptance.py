@@ -179,7 +179,7 @@ def test_criterion_5_rir_semantics():
             rs.current_best = rs.state.solution_set()
             rs.record()
         variant = rng.choice(("arir2", "arir3"))
-        rs = restart_round(g, rs, RunConfig(variant=variant).validated(), rrng)
+        rs = restart_round(g, rs, RunConfig(variant=variant), rrng)
         composite = extend_solution(rs.current_best, rs.round_log) | rs.S
         if not is_independent(g, composite):
             report("5 rir", False, f"composite dependent on trial {trial}")

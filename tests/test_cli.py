@@ -109,6 +109,13 @@ def test_solve_bad_config_exit2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_checks_settings_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.graph")
+    assert main(["solve", "--input", missing, "--m", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "m must be >= 1" in err and missing not in err
+
+
 def test_solve_adapt_n_defaults_to_ten_m(tmp_path, monkeypatch, capsys):
     graph_path = metis_file(tmp_path, cycle(5), "c5.graph")
     configs = []
@@ -118,9 +125,15 @@ def test_solve_adapt_n_defaults_to_ten_m(tmp_path, monkeypatch, capsys):
         return RunResult(solution={0, 2}, stats={})
 
     monkeypatch.setattr(arir.cli, "run", capture)
-    assert main(["solve", "--input", graph_path, "--m", "20"]) == 0
-    capsys.readouterr()
-    assert configs[0].m == 20 and configs[0].n == 200
+    # Without --adapt-n the period follows --m, not RunConfig()'s own n.
+    for argv, m, n in (
+        (["--m", "20"], 20, 200),
+        (["--m", "50"], 50, 500),
+        (["--m", "50", "--adapt-n", "120"], 50, 150),
+    ):
+        assert main(["solve", "--input", graph_path, *argv]) == 0
+        capsys.readouterr()
+        assert configs[-1].m == m and configs[-1].n == n
 
 
 def test_solve_prints_the_run_stats(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,6 @@ from arir import (
     run_to_fixpoint,
 )
 from arir.reductions import (
-    FoldRecord,
     rule_domination,
     rule_fold2,
     rule_one_vertex,
@@ -143,7 +142,7 @@ def test_fold2_p3_lift_both_ways():
     w = WorkingGraph(path(3))
     log = ReductionLog()
     assert rule_fold2(w, 1, log)
-    assert log.folds == [FoldRecord(new_vertex=3, folded=1, merged=(0, 2))]
+    assert log.folds == [(3, 1, 0, 2)]
     assert not log.fixed
     assert extend_solution({3}, log) == {0, 2}
     assert extend_solution(set(), log) == {1}
@@ -579,13 +578,13 @@ def replay_in_write_order(kernel_solution, log):
     else:
         solution = set(kernel_solution)
     for rec in reversed(log.order):
-        if not isinstance(rec, FoldRecord):
+        if not isinstance(rec, tuple):
             solution.add(rec)
-        elif rec.new_vertex in solution:
-            solution.remove(rec.new_vertex)
-            solution.update(rec.merged)
+        elif rec[0] in solution:
+            solution.remove(rec[0])
+            solution.update(rec[2:])
         else:
-            solution.add(rec.folded)
+            solution.add(rec[1])
     return solution
 
 
@@ -613,13 +612,13 @@ def test_lift_matches_replay_in_write_order(monkeypatch):
         cases.append((rest, log))
         for kernel, log in cases:
             assert isinstance(log, OrderedLog)
-            folds = [r for r in log.order if isinstance(r, FoldRecord)]
+            folds = [r for r in log.order if isinstance(r, tuple)]
             assert folds == log.folds
-            assert [r for r in log.order if not isinstance(r, FoldRecord)] == log.fixed
+            assert [r for r in log.order if not isinstance(r, tuple)] == log.fixed
             # A fold consumes only vertices that were alive; a fixed vertex
             # is dead at once, so none is consumed. A fold's new vertex may
             # be fixed later.
-            consumed = {v for r in log.folds for v in (r.folded, *r.merged)}
+            consumed = {v for fold in log.folds for v in fold[1:]}
             assert consumed.isdisjoint(log.fixed)
             fixed_fold_vertices += sum(v >= g.vertex_count for v in log.fixed)
             solutions = [random_maximal(kernel, rng) for _ in range(3)]

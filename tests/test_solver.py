@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_run_tests_and_records_only_at_period_ends(monkeypatch, variant, m, n):
     cfg = RunConfig(variant=variant, m=m, n=n, max_blocks=100, seed=2)
     result = run(g, cfg)
     assert len(blocks) == 100
-    period = cfg.validated().n // m
+    period = cfg.n // m
     expected = [] if variant == "arw" else list(range(period, 101, period))
     assert tests == records == expected
     if variant == "arir1":
@@ -243,7 +244,7 @@ def test_restart_round_arir2_runs_no_reductions():
     g = gnp(30, 0.2, random.Random(2))
     rs, rng = _round_state(g)
     rs.record()
-    rs = restart_round(g, rs, RunConfig(variant="arir2").validated(), rng)
+    rs = restart_round(g, rs, RunConfig(variant="arir2"), rng)
     assert not rs.round_log.fixed and not rs.round_log.folds
     assert rs.intersection is None
 
@@ -252,7 +253,7 @@ def test_restart_round_arir3_runs_simple_tier():
     g = path(9)
     rs, rng = _round_state(g)
     _record_all(rs, [set()])  # empty intersection: plain restart
-    rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rng)
+    rs = restart_round(g, rs, RunConfig(variant="arir3"), rng)
     # The simple tier empties a path entirely.
     assert rs.state.view.vertex_count == 0
     composite = rs.S | extend_solution(rs.current_best, rs.round_log)
@@ -265,7 +266,7 @@ def test_restart_round_composite_independent_randoms():
         g = gnp(rng.randint(15, 50), rng.uniform(0.1, 0.3), rng)
         rs, rrng = _round_state(g, seed=trial)
         rs.record()
-        rs = restart_round(g, rs, RunConfig(variant="arir3").validated(), rrng)
+        rs = restart_round(g, rs, RunConfig(variant="arir3"), rrng)
         lifted = extend_solution(rs.current_best, rs.round_log) | rs.S
         assert is_independent(g, lifted)
 
@@ -294,7 +295,7 @@ def test_restart_round_keeps_no_working_graph(monkeypatch, variant):
     rs, rng = _round_state(g)
     arw_block(rs.state, 5)
     rs.record()
-    rs = restart_round(g, rs, RunConfig(variant=variant).validated(), rng)
+    rs = restart_round(g, rs, RunConfig(variant=variant), rng)
     # Only the spy's list and this frame hold the round's graph, as they
     # hold a control graph.
     working = rounds[0]
@@ -309,7 +310,7 @@ def test_restart_lift_matches_round_accounting():
     # in most rounds. The lift of a round's best gains exactly S plus one
     # vertex per fixed vertex and per fold, and stays independent.
     rng = random.Random(61)
-    cfg = RunConfig(variant="arir3").validated()
+    cfg = RunConfig(variant="arir3")
     folds = fixed_by_intersection = 0
     for trial in range(40):
         n = rng.randint(20, 80)
@@ -347,7 +348,7 @@ def test_restarts_leave_the_frozen_kernel_unchanged(monkeypatch):
 
     monkeypatch.setattr(arir.solver, "rir_reduce", kept_reduce)
     rng = random.Random(67)
-    cfg = RunConfig(variant="arir3").validated()
+    cfg = RunConfig(variant="arir3")
     in_place = 0
     for trial in range(30):
         n = rng.randint(20, 80)
@@ -501,18 +502,29 @@ def test_run_stats_record_shape():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="cutoff"):
-        RunConfig(cutoff_seconds=0).validated()
+        RunConfig(cutoff_seconds=0)
     with pytest.raises(ValueError, match="variant"):
-        RunConfig(variant="nope").validated()
+        RunConfig(variant="nope")
     with pytest.raises(ValueError, match="m must"):
-        RunConfig(m=0).validated()
+        RunConfig(m=0)
     # Block counts are ints: a fraction would fail inside the search or
     # round up a block.
     for field, value in (("m", 10.5), ("m", True), ("n", 20.0), ("max_blocks", 1.5)):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
-            RunConfig(**{field: value}).validated()
-    cfg = RunConfig(m=7, n=15).validated()
+            RunConfig(**{field: value})
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        RunConfig(n=0)
+    with pytest.raises(ValueError, match="cutoff must be a number"):
+        RunConfig(cutoff_seconds="5")
+    with pytest.raises(ValueError, match="max_blocks must be >= 0"):
+        RunConfig(max_blocks=-1)
+    cfg = RunConfig(m=7, n=15)
     assert cfg.n == 21  # rounded up to whole blocks
+    # A config is frozen, and a copy keeps the period it was made with.
+    with pytest.raises(FrozenInstanceError):
+        cfg.m = 1
+    assert replace(cfg, variant="arir3").n == 21
+    assert replace(cfg, m=5).n == 25
 
 
 def test_run_global_best_survives_restarts():
