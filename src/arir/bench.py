@@ -52,7 +52,10 @@ def load_manifest(path: str) -> list[BenchEntry]:
     entry's run settings (for each of its variants) and read options are
     checked, so a bad entry fails here, before any graph is read."""
     with open_text(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     if not isinstance(raw, list):
         raise ValueError(f"{path}: manifest must be a JSON list")
     entries = []

@@ -32,18 +32,20 @@ def _setup_logging() -> None:
     log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
 
 
-class _UnusableInput(Exception):
-    """Input a command cannot use: main prints it and exits 2."""
+class _Unusable(Exception):
+    """Input or output a command cannot use: main prints it and exits 2."""
 
 
 @contextlib.contextmanager
-def _reading():
-    """Turn a ValueError (a ParseError, a bad setting, text that is not
-    UTF-8) or OSError raised while reading inputs into _UnusableInput."""
+def _as_unusable():
+    """Turn a ValueError (a ParseError, a bad setting, text that is not UTF-8)
+    or OSError raised in the block into _Unusable, naming an OSError's file."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise _UnusableInput(exc) from None
+        if isinstance(exc, OSError) and exc.filename:
+            exc = f"{exc.filename}: {exc.strerror}"
+        raise _Unusable(exc) from None
 
 
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    with _reading():
+    with _as_unusable():
         config = RunConfig(
             variant=args.variant,
             m=args.m,
@@ -126,18 +128,20 @@ def cmd_solve(args) -> int:
     except ContractError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
+    if args.emit_solution:
+        with _as_unusable():
+            write_solution(result.solution, args.emit_solution)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     print(json.dumps({"instance": stem, **result.stats}))
-    if args.emit_solution:
-        write_solution(result.solution, args.emit_solution)
     return 0
 
 
 def cmd_bench(args) -> int:
-    with _reading():
+    with _as_unusable():
         entries = load_manifest(args.manifest)
     rows = run_bench(entries, jobs=args.jobs)
-    write_csv(rows, args.csv)
+    with _as_unusable():
+        write_csv(rows, args.csv)
     for row in rows:
         if row.error is not None:
             print(f"error: {row.instance}/{row.variant}: {row.error}", file=sys.stderr)
@@ -145,10 +149,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with _reading():
-        graph = read_graph(
-            args.graph_path, fmt=args.format, index_base=args.index_base
-        )
+    with _as_unusable():
+        graph = read_graph(args.graph_path, fmt=args.format, index_base=args.index_base)
         solution = read_solution(args.solution_path)
         for v in solution:
             if not 0 <= v < graph.vertex_count:
@@ -163,17 +165,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    with _reading():
+    with _as_unusable():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
     result = kernelize(graph, args.ruleset)
     stem = os.path.splitext(args.input)[0]
     kernel_path = args.kernel_out or f"{stem}.kernel.graph"
     log_path = args.log_out or f"{stem}.kernel.log"
-    write_metis(result.kernel, kernel_path)
-    with open(log_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# fixed={result.fixed_count} folds={result.fold_count}\n")
-        for line in result.log.to_lines():
-            fh.write(line + "\n")
+    with _as_unusable():
+        write_metis(result.kernel, kernel_path)
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.write(f"# fixed={result.fixed_count} folds={result.fold_count}\n")
+            fh.writelines(line + "\n" for line in result.log.to_lines())
     print(
         f"kernel {result.kernel.vertex_count} {result.kernel.edge_count} "
         f"{result.fixed_count} {result.fold_count}"
@@ -182,7 +184,7 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with _reading():
+    with _as_unusable():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
         result = exact_mis(graph)
     print(f"alpha={result.alpha}")
@@ -203,10 +205,18 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except _UnusableInput as exc:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except _Unusable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early. What is still buffered goes to
+        # devnull, so the flush at exit stays quiet; 141 is what a shell
+        # reports for a process that SIGPIPE ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

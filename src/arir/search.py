@@ -44,15 +44,15 @@ _FORCE_CAP = 32
 
 class SolutionState:
     """Independent set plus the counters the search needs: per-vertex
-    tightness (number of solution neighbors), last-removal timestamps, an
-    age queue of free vertices, and a seeded RNG. Vertices are the view's
-    compact ids. Single-owner, single-threaded.
+    tightness (number of solution neighbors), an age queue of free vertices,
+    and a seeded RNG. Vertices are the view's compact ids. Single-owner,
+    single-threaded.
 
-    The age queue is an append-only list with lazy deletion. A vertex is
-    appended when it leaves the solution, right after its last_out is
-    stamped, so live entries are in nondecreasing last_out order. Entry i is
-    live iff _age_pos[age[i]] == i; solution vertices have _age_pos -1. No
-    live entry precedes _age_head.
+    The age queue is an append-only list with lazy deletion. _remove appends
+    a vertex when it leaves the solution and _compact keeps the live entries
+    in order, so a free vertex's age is its position among the live entries:
+    the first has been out longest. Entry i is live iff _age_pos[age[i]] == i;
+    solution vertices have _age_pos -1. No live entry precedes _age_head.
     """
 
     __slots__ = (
@@ -60,9 +60,7 @@ class SolutionState:
         "rng",
         "in_sol",
         "tight",
-        "last_out",
         "size",
-        "iteration",
         "touches",
         "max_iter_touches",
         "_age",
@@ -80,11 +78,8 @@ class SolutionState:
         self.rng = rng
         self.in_sol = bytearray(n)
         self.tight = [0] * n
-        self.last_out = [0] * n
         self.size = 0
-        self.iteration = 1
-        # Every vertex starts free with age 0; the shuffle keeps the first
-        # picks from favouring low ids.
+        # Every vertex starts free, in shuffled order so no pick favours low ids.
         age = list(range(n))
         rng.shuffle(age)
         self._age = age
@@ -121,7 +116,6 @@ class SolutionState:
     def _remove(self, v: int) -> None:
         self.in_sol[v] = 0
         self.size -= 1
-        self.last_out[v] = self.iteration
         age = self._age
         self._age_pos[v] = len(age)
         age.append(v)
@@ -234,9 +228,9 @@ class SolutionState:
         return swaps
 
     def _age_pick(self, batch: list[int]) -> int | None:
-        """Pick a free vertex biased toward the oldest removal timestamp: one
-        uniform draw over the oldest window of the age queue, falling back to
-        the oldest live entry on a dead slot. Redraw when the pick is
+        """Pick a free vertex biased toward those longest out of the solution:
+        one uniform draw over the oldest window of the age queue, falling
+        back to the oldest live entry on a dead slot. Redraw when the pick is
         adjacent to an already-forced vertex. Needs a free vertex."""
         pos = self._age_pos
         age = self._age
@@ -290,6 +284,8 @@ class SolutionState:
         c = 1
         while c < _FORCE_CAP and rng.random() < 0.5:
             c += 1
+        in_sol = self.in_sol
+        adj = self.view.adjacency
         forced: list[int] = []
         for _ in range(c):
             if self.size == n:
@@ -297,19 +293,14 @@ class SolutionState:
             v = self._age_pick(forced)
             if v is None:
                 break
-            self._force_insert(v)
+            self.touches += len(adj[v])
+            for w in adj[v]:
+                if in_sol[w]:
+                    self._remove(w)
+            self._insert(v)
             forced.append(v)
         self.maintain_maximality()
         return forced
-
-    def _force_insert(self, v: int) -> None:
-        adj = self.view.adjacency[v]
-        self.touches += len(adj)
-        in_sol = self.in_sol
-        for w in adj:
-            if in_sol[w]:
-                self._remove(w)
-        self._insert(v)
 
     def audit(self) -> None:
         """Recompute tightness and independence from scratch; raise on breakage."""
@@ -327,17 +318,13 @@ class SolutionState:
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
         free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
-        # Exactly one live entry per free vertex, none before the head, and
-        # live entries in nondecreasing age.
+        # Exactly one live entry per free vertex, and none before the head.
         age, pos = self._age, self._age_pos
         live = [v for i, v in enumerate(age) if pos[v] == i]
         if any(pos[v] == i for i, v in enumerate(age[: self._age_head])):
             raise AssertionError("live age-queue entry before the head")
         if sorted(live) != free:
             raise AssertionError("age queue out of sync with the free vertices")
-        last_out = self.last_out
-        if any(last_out[u] > last_out[w] for u, w in zip(live, live[1:])):
-            raise AssertionError("age queue out of age order")
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
@@ -401,7 +388,6 @@ def arw_block(state: SolutionState, m: int) -> set[int]:
             best_size = state.size
         max_iter = 0
         for _ in range(m):
-            state.iteration += 1
             t0 = state.touches
             state.perturb()
             state.exhaust_swaps()

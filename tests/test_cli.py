@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import arir.bench
 import arir.cli
@@ -513,3 +519,61 @@ def test_bench_bad_read_options_and_fractional_counts_rejected(tmp_path, capsys)
         err = capsys.readouterr().err
         assert "entry 0" in err and message in err, (key, err)
         assert not csv_path.exists()
+
+
+def test_broken_pipe_is_quiet(tmp_path):
+    # stdout is a pipe whose reader is already gone, as when `| head -n 1`
+    # exits before the witness line: no traceback, and the status README names.
+    graph_path = metis_file(tmp_path, cycle(4), "c4.graph")
+    src = str(Path(arir.cli.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from arir.cli import main; "
+             "sys.exit(main())", "oracle", "--input", graph_path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 141
+
+
+@pytest.mark.parametrize(
+    "flag", ["--emit-solution", "--kernel-out", "--log-out", "--csv"]
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, flag):
+    graph_path = metis_file(tmp_path, path(3), "p3.graph")
+    target = str(tmp_path / "missing" / "out")
+    if flag == "--emit-solution":
+        argv = ["solve", "--input", graph_path, "--max-blocks", "1"]
+    elif flag == "--csv":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                [{"instance_path": graph_path, "cutoff_s": 5.0, "variants": ["arir2"],
+                  "seeds": [1], "max_blocks": 1}]
+            )
+        )
+        argv = ["bench", "--manifest", str(manifest)]
+    else:
+        argv = ["kernelize", "--input", graph_path]
+    assert main(argv + [flag, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {target}: No such file or directory\n"
+    # solve writes its solution before it prints the record.
+    assert flag != "--emit-solution" or captured.out == ""
+
+
+def test_bench_manifest_not_json_names_the_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[{\"instance_path\": ")
+    csv_path = tmp_path / "o.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: not JSON ("), err
+    assert not csv_path.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,12 @@ from helpers import (
     star,
     view_of,
 )
+
+def live_queue(state):
+    """The live entries of the age queue, oldest first."""
+    pos = state._age_pos
+    return [v for i, v in enumerate(state._age) if pos[v] == i]
+
 
 def fresh_state(g, seed=0):
     return greedy_init(view_of(g), random.Random(seed))
@@ -257,7 +264,6 @@ def test_force_count_distribution():
     ones = 0
     samples = 10_000
     for _ in range(samples):
-        state.iteration += 1
         ones += len(state.perturb()) == 1
     assert 0.47 <= ones / samples <= 0.53
 
@@ -317,7 +323,6 @@ def test_exhaustion_leaves_no_swap():
         state.exhaust_swaps()
         assert find_one_two_swap(state) is None
         for _ in range(10):
-            state.iteration += 1
             state.perturb()
             state.exhaust_swaps()
             assert find_one_two_swap(state) is None
@@ -342,27 +347,45 @@ def test_perturb_picks_from_the_oldest_window(monkeypatch):
         g = gnp(rng.randint(20, 200), rng.uniform(0.01, 0.2), rng)
         state = fresh_state(g, trial)
         for _ in range(40):
-            state.iteration += 1
             free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
             forced = state.perturb()
             state.exhaust_swaps()
             assert set(forced) <= set(free)
-        # With one forced vertex per call, the pick comes from the window of
-        # the state just before the call.
+        # With one forced vertex per call, the pick is one of the oldest
+        # free // 32 + 1 live entries of the queue just before the call.
         with monkeypatch.context() as patch:
             patch.setattr(arir.search, "_FORCE_CAP", 1)
             for _ in range(40):
-                state.iteration += 1
-                last_out = list(state.last_out)
-                free = [
-                    v for v in range(state.view.vertex_count) if not state.in_sol[v]
-                ]
-                ages = sorted(last_out[v] for v in free)
+                live = live_queue(state)
                 forced = state.perturb()
                 state.exhaust_swaps()
                 assert len(forced) == 1
-                assert last_out[forced[0]] <= ages[len(ages) // 32]
+                assert live.index(forced[0]) <= len(live) // 32
         state.audit()
+
+
+def test_age_queue_keeps_removal_order(monkeypatch):
+    # The live entries are the free vertices in the order they last left the
+    # solution; those never in it keep their start-up order ahead of them.
+    g = gnp(60, 0.1, random.Random(14))
+    state = fresh_state(g, seed=3)
+    clock = itertools.count()
+    last = {v: next(clock) for v in state._age}
+    remove = SolutionState._remove
+
+    def recording_remove(self, v):
+        last[v] = next(clock)
+        remove(self, v)
+
+    monkeypatch.setattr(SolutionState, "_remove", recording_remove)
+    compactions = 0
+    for _ in range(80):
+        before = len(state._age)
+        arw_block(state, 100)
+        compactions += len(state._age) < before
+        free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
+        assert live_queue(state) == sorted(free, key=last.__getitem__)
+    assert compactions >= 2
 
 
 def test_arw_block_leaves_no_swap():
