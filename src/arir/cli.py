@@ -48,6 +48,18 @@ def _as_unusable():
         raise _Unusable(exc) from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise _Unusable unless every given path can be opened for writing.
+    Each is opened for append, so an existing file keeps its content, and a
+    file the check created is removed again."""
+    with _as_unusable():
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            open(path, "ab").close()
+            if not existed:
+                os.remove(path)
+
+
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=GRAPH_FORMATS, default="auto")
     parser.add_argument("--index-base", choices=INDEX_BASES, default="auto")
@@ -123,6 +135,7 @@ def cmd_solve(args) -> int:
             max_blocks=args.max_blocks,
         )
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
+    _check_writable(args.emit_solution)
     try:
         result = run(graph, config)
     except ContractError as exc:
@@ -139,6 +152,7 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with _as_unusable():
         entries = load_manifest(args.manifest)
+    _check_writable(args.csv)
     rows = run_bench(entries, jobs=args.jobs)
     with _as_unusable():
         write_csv(rows, args.csv)
@@ -167,10 +181,11 @@ def cmd_verify(args) -> int:
 def cmd_kernelize(args) -> int:
     with _as_unusable():
         graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
-    result = kernelize(graph, args.ruleset)
     stem = os.path.splitext(args.input)[0]
     kernel_path = args.kernel_out or f"{stem}.kernel.graph"
     log_path = args.log_out or f"{stem}.kernel.log"
+    _check_writable(kernel_path, log_path)
+    result = kernelize(graph, args.ruleset)
     with _as_unusable():
         write_metis(result.kernel, kernel_path)
         with open(log_path, "w", encoding="utf-8") as fh:

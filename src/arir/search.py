@@ -328,9 +328,9 @@ class SolutionState:
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
-    """Build a maximal solution by repeatedly taking a minimum-degree vertex
-    and deleting its closed neighborhood (on scratch counters); ties go to
-    the lowest id.
+    """Build a maximal solution by repeatedly inserting a minimum-degree
+    undecided (free and 0-tight) vertex, which deletes its neighbors; ties go
+    to the lowest id. Degrees count undecided neighbors.
 
     A bucket queue keeps one min-heap of ids per degree, and low is the
     lowest degree whose bucket may be non-empty. Degrees only fall, so an
@@ -338,9 +338,10 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     ones, which are skipped once it is decided."""
     state = SolutionState(view, rng)
     adj = view.adjacency
-    n = view.vertex_count
+    in_sol, tight = state.in_sol, state.tight
+    # _insert appends the neighbors it turns 1-tight: the ones a pick deletes.
+    deleted = state._one_buf
     deg = [len(a) for a in adj]
-    status = bytearray(n)  # 0 undecided, 1 selected, 2 deleted
     # Filled in ascending id, so every bucket starts out a valid heap.
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for v, d in enumerate(deg):
@@ -353,25 +354,21 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
             low += 1
             continue
         v = heappop(bucket)
-        if status[v] != 0:
+        if in_sol[v] or tight[v]:
             continue
-        status[v] = 1
-        for u in adj[v]:
-            if status[u] == 0:
-                status[u] = 2
-                for t in adj[u]:
-                    if status[t] == 0:
-                        d = deg[t] - 1
-                        deg[t] = d
-                        heappush(buckets[d], t)
-                        if d < low:
-                            low = d
+        state._insert(v)
+        for u in deleted:
+            for t in adj[u]:
+                if not in_sol[t] and not tight[t]:
+                    d = deg[t] - 1
+                    deg[t] = d
+                    heappush(buckets[d], t)
+                    if d < low:
+                        low = d
+        deleted.clear()
     # Queue every pick for the first swap exhaustion, in ascending id.
-    for v in range(n):
-        if status[v] == 1:
-            state._insert(v)
-            state._enqueue(v)
-    state._one_buf.clear()
+    for v in compress(range(view.vertex_count), in_sol):
+        state._enqueue(v)
     return state
 
 

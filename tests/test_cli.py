@@ -546,9 +546,13 @@ def test_broken_pipe_is_quiet(tmp_path):
 @pytest.mark.parametrize(
     "flag", ["--emit-solution", "--kernel-out", "--log-out", "--csv"]
 )
-def test_unwritable_output_exits_2(tmp_path, capsys, flag):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, flag):
     graph_path = metis_file(tmp_path, path(3), "p3.graph")
     target = str(tmp_path / "missing" / "out")
+    # The outputs are checked before the solve, grid or kernelization starts.
+    started = []
+    for name in ("run", "run_bench", "kernelize"):
+        monkeypatch.setattr(arir.cli, name, lambda *a, name=name, **k: started.append(name))
     if flag == "--emit-solution":
         argv = ["solve", "--input", graph_path, "--max-blocks", "1"]
     elif flag == "--csv":
@@ -562,11 +566,21 @@ def test_unwritable_output_exits_2(tmp_path, capsys, flag):
         argv = ["bench", "--manifest", str(manifest)]
     else:
         argv = ["kernelize", "--input", graph_path]
+    before = sorted(os.listdir(tmp_path))
     assert main(argv + [flag, target]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {target}: No such file or directory\n"
-    # solve writes its solution before it prints the record.
-    assert flag != "--emit-solution" or captured.out == ""
+    assert captured.out == ""
+    assert started == []
+    # No file is left behind: with --log-out, not the kernel either.
+    assert sorted(os.listdir(tmp_path)) == before
+    if flag == "--log-out":
+        assert not (tmp_path / "p3.kernel.graph").exists()
+        # The check appends, so an output that exists keeps its content.
+        kept = tmp_path / "kept.graph"
+        kept.write_text("keep\n")
+        assert main(argv + ["--kernel-out", str(kept), flag, target]) == 2
+        assert kept.read_text() == "keep\n" and started == []
 
 
 def test_bench_manifest_not_json_names_the_file(tmp_path, capsys):

@@ -44,7 +44,8 @@ def fresh_state(g, seed=0):
 
 def manual_state(g, solution, rng=None):
     # Queued in ascending id for the first swap exhaustion, as greedy_init does.
-    state = SolutionState(view_of(g), rng or random.Random(0))
+    view = g if isinstance(g, LiveView) else view_of(g)
+    state = SolutionState(view, rng or random.Random(0))
     for v in sorted(solution):
         state._insert(v)
         state._enqueue(v)
@@ -86,6 +87,20 @@ def tuple_heap_greedy(adj):
     return {v for v, s in enumerate(status) if s == 1}
 
 
+def assert_greedy_state(view, seed):
+    """greedy_init's whole state equals the one manual_state builds from the
+    reference's picks: solution, tightness, touches, age queue, swap queue in
+    order, RNG, and both buffers empty."""
+    state = greedy_init(view, random.Random(seed))
+    assert state._zero_heap == [] and state._one_buf == []
+    expected = manual_state(view, tuple_heap_greedy(view.adjacency), random.Random(seed))
+    for name in SolutionState.__slots__:
+        if name not in ("view", "rng"):
+            assert getattr(state, name) == getattr(expected, name), name
+    assert state.rng.getstate() == expected.rng.getstate()
+    return state
+
+
 def test_greedy_matches_tuple_heap_reference():
     rng = random.Random(43)
     graphs = [star(5), cycle(7), path(6), petersen(), complete(5)]
@@ -98,9 +113,7 @@ def test_greedy_matches_tuple_heap_reference():
     for n, edges in instances:
         graphs.append(build_graph(edges, vertex_count_hint=n))
     for g in graphs:
-        view = view_of(g)
-        expected = tuple_heap_greedy(view.adjacency)
-        assert fresh_state(g).solution_set() == expected
+        assert_greedy_state(view_of(g), 0)
     # Snapshots with gaps in their ids, after random kills and folds.
     for trial in range(30):
         w = WorkingGraph(gnp(rng.randint(5, 50), rng.uniform(0.05, 0.3), rng))
@@ -115,7 +128,7 @@ def test_greedy_matches_tuple_heap_reference():
                 w.kill(v)
         view = LiveView.from_working(w)
         expected = {view.ids[v] for v in tuple_heap_greedy(view.adjacency)}
-        assert greedy_init(view, random.Random(trial)).solution_set() == expected
+        assert assert_greedy_state(view, trial).solution_set() == expected
 
 
 def test_greedy_random_is_maximal_independent():
