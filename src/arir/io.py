@@ -172,7 +172,8 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
 
     index_base "auto" reads the file as 0-based when its smallest id is 0
     and raises ParseError for any other smallest id, whose base the file
-    does not show.
+    does not show. A self-loop raises ParseError naming its line; repeated
+    edges collapse, since edge lists often give both directions.
     """
     check_read_options("edgelist", index_base)
     pairs: list[tuple[int, int]] = []
@@ -191,6 +192,8 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
             v = _parse_id(toks[1], f"{path} line {lineno}")
             if u < 0 or v < 0:
                 raise ParseError(f"{path} line {lineno}: negative id")
+            if u == v:
+                raise ParseError(f"{path} line {lineno}: self-loop on vertex {u}")
             pairs.append((u, v))
             low = min(u, v)
             if min_id is None or low < min_id:
@@ -210,15 +213,22 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
 
 
 def read_solution(path: str) -> set[int]:
-    """Read a solution file: one 0-based vertex id per line, '#' comments."""
-    out: set[int] = set()
+    """Read a solution file: one 0-based vertex id per line, '#' comments.
+    An id listed twice raises ParseError naming the line of the repeat."""
+    first_line: dict[int, int] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            out.add(_parse_id(stripped, f"{path} line {lineno}"))
-    return out
+            v = _parse_id(stripped, f"{path} line {lineno}")
+            if v in first_line:
+                raise ParseError(
+                    f"{path} line {lineno}: vertex {v} already listed on line"
+                    f" {first_line[v]}"
+                )
+            first_line[v] = lineno
+    return set(first_line)
 
 
 def write_solution(solution: set[int], path: str) -> None:

@@ -329,23 +329,27 @@ class SolutionState:
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
     """Build a maximal solution by repeatedly inserting a minimum-degree
-    undecided (free and 0-tight) vertex, which deletes its neighbors; ties go
-    to the lowest id. Degrees count undecided neighbors.
+    undecided (free and 0-tight) vertex, which deletes its neighbors. Degrees
+    count undecided neighbors. Ties go to the vertex whose degree fell most
+    recently, then to the lowest id.
 
-    A bucket queue keeps one min-heap of ids per degree, and low is the
-    lowest degree whose bucket may be non-empty. Degrees only fall, so an
-    undecided vertex's entry at its current degree pops before its stale
-    ones, which are skipped once it is decided."""
+    A bucket queue keeps one plain list per degree, popped from the end. A
+    vertex is appended to its new bucket each time its degree falls, so the
+    lists hold at most n + 2m entries and the run is O(n + m). The pointer
+    low rises only past an empty bucket and falls to any degree below it, so
+    it never exceeds an undecided vertex's degree: the entry an undecided
+    vertex pops from bucket low is its current one, and only decided
+    vertices are skipped."""
     state = SolutionState(view, rng)
     adj = view.adjacency
     in_sol, tight = state.in_sol, state.tight
     # _insert appends the neighbors it turns 1-tight: the ones a pick deletes.
     deleted = state._one_buf
     deg = [len(a) for a in adj]
-    # Filled in ascending id, so every bucket starts out a valid heap.
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, d in enumerate(deg):
-        buckets[d].append(v)
+    # Filled in descending id, so the first pops go lowest id first.
+    for v in reversed(range(len(deg))):
+        buckets[deg[v]].append(v)
     low = 0
     top = len(buckets)
     while low < top:
@@ -353,7 +357,7 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
         if not bucket:
             low += 1
             continue
-        v = heappop(bucket)
+        v = bucket.pop()
         if in_sol[v] or tight[v]:
             continue
         state._insert(v)
@@ -362,7 +366,7 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
                 if not in_sol[t] and not tight[t]:
                     d = deg[t] - 1
                     deg[t] = d
-                    heappush(buckets[d], t)
+                    buckets[d].append(t)
                     if d < low:
                         low = d
         deleted.clear()

@@ -93,6 +93,16 @@ def test_solve_parse_failure_exit2(tmp_path, capsys):
     bad.write_text("not a header\n")
     assert main(["solve", "--input", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    # An edge-list self-loop is not dropped: that would let vertex 2 into
+    # the solution.
+    looped = tmp_path / "loop.edges"
+    looped.write_text("0 1\n1 2\n2 2\n")
+    sol = tmp_path / "loop.sol"
+    argv = ["solve", "--input", str(looped), "--max-blocks", "1"]
+    assert main(argv + ["--emit-solution", str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: self-loop on vertex 2" in captured.err and captured.out == ""
+    assert not sol.exists()
 
 
 def test_solve_edge_list_without_zero_needs_index_base(tmp_path, capsys):
@@ -181,6 +191,13 @@ def test_verify_cases(tmp_path, capsys):
     write_solution({9}, oob)
     assert main(["verify", p3, oob]) == 2
     capsys.readouterr()
+
+    # A repeated id is not merged into a smaller set.
+    twice = tmp_path / "twice.sol"
+    twice.write_text("0\n0\n")
+    assert main(["verify", p3, str(twice)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: vertex 0 already listed" in captured.err and captured.out == ""
 
 
 def test_verify_matches_brute_force_checks(tmp_path, capsys):

@@ -139,6 +139,17 @@ def test_edgelist_rejects_bad_line(tmp_path):
         read_edgelist(str(target))
 
 
+def test_edgelist_rejects_self_loop_and_collapses_repeats(tmp_path):
+    looped = tmp_path / "loop.edges"
+    looped.write_text("0 1\n1 2\n# comment\n2 2\n")
+    with pytest.raises(ParseError, match=r"loop\.edges line 4: self-loop on vertex 2"):
+        read_edgelist(str(looped))
+    both_ways = tmp_path / "both.edges"
+    both_ways.write_text("0 1\n1 0\n0 1\n1 2\n")
+    g = read_edgelist(str(both_ways))
+    assert g.adjacency == [[1], [0, 2], [1]]
+
+
 def test_read_graph_format_dispatch(tmp_path):
     rng = random.Random(2)
     g = gnp(10, 0.3, rng)
@@ -174,3 +185,10 @@ def test_solution_round_trip(tmp_path):
     text = target.read_text()
     assert text.startswith("# size=3\n")
     assert read_solution(str(target)) == {1, 4, 9}
+
+
+def test_solution_rejects_repeated_id(tmp_path):
+    target = tmp_path / "twice.sol"
+    target.write_text("# size=2\n0\n2\n\n0\n")
+    with pytest.raises(ParseError, match=r"twice\.sol line 5: vertex 0 already listed on line 2"):
+        read_solution(str(target))
