@@ -393,10 +393,14 @@ def run_to_fixpoint(
     for v in compress(range(len(alive)), alive):
         (low if live_degree[v] < 3 else high).append(v)
     in_queue = alive.copy()
+    # Below the advanced tier no rule fires at degree 3 or more, so such a
+    # vertex is popped and passed over without a call; it stays queued as
+    # before, so the examination order does not change.
+    advanced = tier == "advanced"
     while queue := low or high:
         v = queue.popleft()
         in_queue[v] = False
-        if not alive[v]:
+        if not alive[v] or (live_degree[v] > 2 and not advanced):
             continue
         if _apply_first(W, v, tier, log):
             touched = W.touched

@@ -5,9 +5,10 @@ final answer back to the input graph.
 A run searches in blocks of m iterations, and after every n // m blocks a
 stagnation test judges the period: improvement anywhere in it resets the
 restart probability p to 0; otherwise p grows by 0.01 and a restart fires
-with probability p. On restart, the vertices common to every solution
-recorded this round are fixed into the solution, their closed neighborhood
-is deleted from the frozen kernel, and search starts fresh on the remainder.
+with probability p. Each test records the search's current local optimum.
+On restart, the vertices common to every solution recorded this round are
+fixed into the solution, their closed neighborhood is deleted from the
+frozen kernel, and search starts fresh on the remainder.
 """
 
 from __future__ import annotations
@@ -146,12 +147,12 @@ class RoundState:
         state = greedy_init(LiveView.from_working(working), rng)
         return cls(S, round_log, state, state.solution_set())
 
-    def record(self) -> None:
-        """Intersect current_best into the running intersection. Recorded sets
-        live on the frozen kernel: round folds are resolved and round-fixed
-        vertices included, but not S, so a later intersection can release
-        previously fixed vertices."""
-        lifted = extend_solution(self.current_best, self.round_log)
+    def record(self, solution: set[int]) -> None:
+        """Intersect a working-graph solution into the running intersection.
+        Recorded sets live on the frozen kernel: round folds are resolved and
+        round-fixed vertices included, but not S, so a later intersection can
+        release previously fixed vertices."""
+        lifted = extend_solution(solution, self.round_log)
         if self.intersection is None:
             self.intersection = lifted
         else:
@@ -214,6 +215,8 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     period_improved = False
     blocks = 0
     restarts = 0
+    # Rounds that begin on a snapshot with no vertex left to search.
+    empty_rounds = int(rs.state.view.vertex_count == 0)
     # An empty kernel is solved by kernelization alone: no block runs.
     while GK.vertex_count > 0:
         if config.max_blocks is not None:
@@ -233,7 +236,10 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
 
         restart = False
         if period and blocks % period == 0:
-            rs.record()
+            # The search's local optimum, not the round best: a best that
+            # does not move would make the intersection the whole best, and
+            # N[S] would then cover the kernel.
+            rs.record(rs.state.solution_set())
             p_centi, restart = adaptive_test(p_centi, period_improved, rng)
             period_improved = False
 
@@ -241,6 +247,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         if restart:
             rs = restart_round(GK, rs, config, rng)
             restarts += 1
+            empty_rounds += rs.state.view.vertex_count == 0
             log.debug(
                 "restart %d: fixed %d by intersection, %d alive",
                 restarts,
@@ -267,6 +274,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         "fixed_by_kernel": offset,
         "rounds": restarts + 1,
         "restarts": restarts,
+        "empty_rounds": empty_rounds,
         "blocks": blocks,
         "best_size": len(solution),
         "time_to_best_s": t_best,

@@ -163,8 +163,7 @@ def test_criterion_5_rir_semantics():
             set(), WorkingGraph(isolated), ReductionLog(), random.Random(trial)
         )
         for k, s in enumerate(sets, 1):
-            rs.current_best = s
-            rs.record()
+            rs.record(s)
             # Every record counts: the running value is the prefix intersection.
             if rs.intersection != functools.reduce(set.__and__, sets[:k]):
                 report("5 rir", False, f"intersection mismatch on trial {trial}")
@@ -176,8 +175,7 @@ def test_criterion_5_rir_semantics():
         rs = RoundState.begin(set(), WorkingGraph(g), ReductionLog(), rrng)
         for _ in range(rng.randint(1, 4)):
             arw_block(rs.state, 10)
-            rs.current_best = rs.state.solution_set()
-            rs.record()
+            rs.record(rs.state.solution_set())
         variant = rng.choice(("arir2", "arir3"))
         rs = restart_round(g, rs, RunConfig(variant=variant), rrng)
         composite = extend_solution(rs.current_best, rs.round_log) | rs.S

@@ -12,6 +12,7 @@ from arir import (
     RunConfig,
     WorkingGraph,
     build_graph,
+    exact_mis,
     extend_solution,
     kernelize,
     run,
@@ -91,9 +92,9 @@ def test_run_tests_and_records_only_at_period_ends(monkeypatch, variant, m, n):
         tests.append(len(blocks))
         return test(*args)
 
-    def counted_record(self):
+    def counted_record(self, solution):
         records.append(len(blocks))
-        record(self)
+        record(self, solution)
 
     monkeypatch.setattr(arir.solver, "arw_block", counted_block)
     monkeypatch.setattr(arir.solver, "adaptive_test", counted_test)
@@ -141,25 +142,21 @@ def test_stagnation_test_judges_the_whole_period(monkeypatch):
     assert result.stats["restarts"] == 0
 
 
-def test_record_intersects_the_latest_improving_block(monkeypatch):
-    # At a test boundary the recorded set is the round's best with the block
-    # just run counted: the latest block that improved on the round, or the
-    # greedy start when none did.
-    round_best, last_improved, boundaries = {}, [False], []
+def test_record_takes_the_search_state_at_each_test(monkeypatch):
+    # At a test boundary the recorded set is the search state's solution as
+    # the block just run left it, not the round's best.
+    after_block, stale = {}, []
     block, record = arir.solver.arw_block, RoundState.record
 
     def tracked_block(state, m):
-        best = round_best.setdefault(state, state.solution_set())
         block_best = block(state, m)
-        last_improved[0] = len(block_best) > len(best)
-        if last_improved[0]:
-            round_best[state] = block_best
+        after_block[state] = state.solution_set()
         return block_best
 
-    def checked_record(self):
-        assert self.current_best == round_best[self.state]
-        boundaries.append(last_improved[0])
-        record(self)
+    def checked_record(self, solution):
+        assert solution == after_block[self.state] == self.state.solution_set()
+        stale.append(solution != self.current_best)
+        record(self, solution)
 
     monkeypatch.setattr(arir.solver, "arw_block", tracked_block)
     monkeypatch.setattr(RoundState, "record", checked_record)
@@ -169,9 +166,51 @@ def test_record_intersects_the_latest_improving_block(monkeypatch):
     for seed in range(1, 4):
         cfg = RunConfig(variant="arir3", m=20, n=20, max_blocks=60, seed=seed)
         restarts += run(g, cfg).stats["restarts"]
-    # Some boundary falls right after an improving block, and some restart
-    # starts a new round.
-    assert any(boundaries) and restarts > 0
+    # Some record differs from the round best, and some restart starts a
+    # new round.
+    assert any(stale) and restarts > 0
+
+
+def test_empty_rounds_counts_rounds_that_start_empty(monkeypatch):
+    # The spy sees every round that runs a block: with a test after every
+    # second block and an odd budget, no restart falls after the last block,
+    # so every round runs at least one. It keeps each empty round's state,
+    # so no id is reused.
+    empty_states = {}
+    block = arir.solver.arw_block
+
+    def spy(state, m):
+        if state.view.vertex_count == 0:
+            empty_states[id(state)] = state
+        return block(state, m)
+
+    monkeypatch.setattr(arir.solver, "arw_block", spy)
+    rng = random.Random(83)
+    seen = 0
+    for seed in range(12):
+        empty_states.clear()
+        g = gnp(40, rng.uniform(0.1, 0.3), rng)
+        cfg = RunConfig(variant="arir2", m=10, n=20, max_blocks=101, seed=seed)
+        stats = run(g, cfg).stats
+        assert stats["empty_rounds"] == len(empty_states) <= stats["rounds"]
+        seen += stats["empty_rounds"]
+    assert seen > 0
+
+
+def test_restarting_runs_match_exact_mis():
+    # Differential: short blocks and a test after each, so restarts fire;
+    # every answer is an independent, maximal set no larger than alpha.
+    rng = random.Random(89)
+    restarts = 0
+    for trial in range(25):
+        g = gnp(rng.randint(20, 64), rng.uniform(0.08, 0.3), rng)
+        alpha = exact_mis(g).alpha
+        result = run(g, RunConfig(variant="arir3", m=10, n=10, max_blocks=40, seed=trial))
+        assert is_independent(g, result.solution)
+        assert is_maximal(g, result.solution)
+        assert result.stats["best_size"] == len(result.solution) <= alpha
+        restarts += result.stats["restarts"]
+    assert restarts > 0
 
 
 def _round_state(g, seed=1):
@@ -181,10 +220,9 @@ def _round_state(g, seed=1):
 
 
 def _record_all(rs, solutions):
-    """Record each set as the round's current best, in order."""
+    """Record each set, in order."""
     for s in solutions:
-        rs.current_best = set(s)
-        rs.record()
+        rs.record(set(s))
 
 
 def test_record_intersections():
@@ -243,7 +281,7 @@ def test_rir_reduce_composite_independent():
 def test_restart_round_arir2_runs_no_reductions():
     g = gnp(30, 0.2, random.Random(2))
     rs, rng = _round_state(g)
-    rs.record()
+    rs.record(rs.current_best)
     rs = restart_round(g, rs, RunConfig(variant="arir2"), rng)
     assert not rs.round_log.fixed and not rs.round_log.folds
     assert rs.intersection is None
@@ -265,7 +303,7 @@ def test_restart_round_composite_independent_randoms():
     for trial in range(20):
         g = gnp(rng.randint(15, 50), rng.uniform(0.1, 0.3), rng)
         rs, rrng = _round_state(g, seed=trial)
-        rs.record()
+        rs.record(rs.current_best)
         rs = restart_round(g, rs, RunConfig(variant="arir3"), rrng)
         lifted = extend_solution(rs.current_best, rs.round_log) | rs.S
         assert is_independent(g, lifted)
@@ -294,7 +332,7 @@ def test_restart_round_keeps_no_working_graph(monkeypatch, variant):
     g = gnp(40, 0.1, random.Random(6))
     rs, rng = _round_state(g)
     arw_block(rs.state, 5)
-    rs.record()
+    rs.record(rs.state.solution_set())
     rs = restart_round(g, rs, RunConfig(variant=variant), rng)
     # Only the spy's list and this frame hold the round's graph, as they
     # hold a control graph.
@@ -320,7 +358,7 @@ def test_restart_lift_matches_round_accounting():
             best = arw_block(rs.state, 5)
             if len(best) > len(rs.current_best):
                 rs.current_best = best
-            rs.record()
+            rs.record(rs.state.solution_set())
             rs = restart_round(g, rs, cfg, rrng)
             lifted = rs.lift(rs.current_best)
             assert len(lifted) == (
@@ -359,7 +397,7 @@ def test_restarts_leave_the_frozen_kernel_unchanged(monkeypatch):
             best = arw_block(rs.state, 5)
             if len(best) > len(rs.current_best):
                 rs.current_best = best
-            rs.record()
+            rs.record(rs.state.solution_set())
             rs = restart_round(g, rs, cfg, rrng)
             # A list that grew by two or more was appended to in place.
             in_place += sum(
@@ -457,6 +495,8 @@ def test_run_p7_solved_by_kernelization():
     assert result.stats["best_size"] == brute_alpha(g) == 4
     assert result.stats["blocks"] == 0
     assert result.stats["kernel_vertices"] == 0
+    # Its one round begins on an empty snapshot.
+    assert result.stats["empty_rounds"] == result.stats["rounds"] == 1
 
 
 def test_run_deterministic_same_seed():
