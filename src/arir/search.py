@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from heapq import heappop, heappush
 from itertools import compress
 
 from .graph import StaticGraph, WorkingGraph
@@ -66,7 +65,7 @@ class SolutionState:
         "_age",
         "_age_pos",
         "_age_head",
-        "_zero_heap",
+        "_zero_buf",
         "_one_buf",
         "_queue",
         "_in_queue",
@@ -90,7 +89,7 @@ class SolutionState:
         self._age_head = 0
         self.touches = 0
         self.max_iter_touches = 0
-        self._zero_heap: list[int] = []
+        self._zero_buf: list[int] = []
         self._one_buf: list[int] = []
         self._queue: deque[int] = deque()
         self._in_queue = bytearray(n)
@@ -122,30 +121,34 @@ class SolutionState:
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
-        zero_heap = self._zero_heap
+        zero_buf = self._zero_buf
         one_buf = self._one_buf
         for w in adj:
             t = tight[w] - 1
             tight[w] = t
             if t == 0:
-                heappush(zero_heap, w)
+                zero_buf.append(w)
             elif t == 1:
                 one_buf.append(w)
 
     def maintain_maximality(self) -> int:
-        """Insert the free 0-tight vertices of the candidate heap, lowest id
-        first, until none remain. _remove feeds the heap with the neighbors
+        """Insert the free 0-tight vertices of the candidate list, lowest id
+        first, until none remain. _remove feeds the list with the neighbors
         that drop to 0-tight; the removed vertex itself is left to the
         caller, which in the search always inserts one of its neighbors.
+        _insert never makes a vertex 0-tight, so one sort orders the pass.
         """
-        zero_heap = self._zero_heap
+        zero_buf = self._zero_buf
+        zero_buf.sort()
+        in_sol = self.in_sol
+        tight = self.tight
         inserted = 0
-        while zero_heap:
-            v = heappop(zero_heap)
-            if self.in_sol[v] or self.tight[v] != 0:
+        for v in zero_buf:
+            if in_sol[v] or tight[v]:
                 continue
             self._insert(v)
             inserted += 1
+        zero_buf.clear()
         return inserted
 
     def _enqueue(self, x: int) -> None:
@@ -160,6 +163,8 @@ class SolutionState:
         in_sol = self.in_sol
         tight = self.tight
         adj = self.view.adjacency
+        queue = self._queue
+        in_queue = self._in_queue
         while buf:
             t = buf.pop()
             if in_sol[t] or tight[t] != 1:
@@ -168,7 +173,9 @@ class SolutionState:
             self.touches += len(a)
             for y in a:
                 if in_sol[y]:
-                    self._enqueue(y)
+                    if not in_queue[y]:
+                        in_queue[y] = 1
+                        queue.append(y)
                     break
 
     def _find_pair(self, x: int) -> tuple[int, int] | None:
@@ -181,15 +188,29 @@ class SolutionState:
         candidate without a partner is adjacent to every other member, so its
         bucket scan costs no more than its degree, and the whole probe costs
         O(d(x) + sum of bucket degrees), which keeps a full sweep within
-        O(edge count).
+        O(edge count). A two-member bucket is settled by one membership test
+        on the first member's list, counted as the general path counts it.
         """
         adj = self.view.adjacency
         adj_x = adj[x]
         tight = self.tight
         self.touches += len(adj_x)
-        bucket = [u for u in adj_x if tight[u] == 1]
-        if len(bucket) < 2:
+        # A plain loop: a comprehension would open a frame per probe.
+        bucket = []
+        for u in adj_x:
+            if tight[u] == 1:
+                bucket.append(u)
+        size = len(bucket)
+        if size < 2:
             return None
+        if size == 2:
+            u, w = bucket
+            adj_u = adj[u]
+            if w in adj_u:
+                self.touches += len(adj_u) + len(adj[w])
+                return None
+            self.touches += len(adj_u)
+            return (u, w)
         for u in bucket:
             adj_u = adj[u]
             self.touches += len(adj_u)

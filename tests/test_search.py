@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import itertools
 import random
 
@@ -49,7 +48,7 @@ def manual_state(g, solution, rng=None):
     for v in sorted(solution):
         state._insert(v)
         state._enqueue(v)
-    state._zero_heap.clear()
+    state._zero_buf.clear()
     state._one_buf.clear()
     return state
 
@@ -96,7 +95,7 @@ def assert_greedy_state(view, seed):
     reference's picks: solution, tightness, touches, age queue, swap queue in
     order, RNG, and both buffers empty."""
     state = greedy_init(view, random.Random(seed))
-    assert state._zero_heap == [] and state._one_buf == []
+    assert state._zero_buf == [] and state._one_buf == []
     expected = manual_state(view, stamp_scan_greedy(view.adjacency), random.Random(seed))
     for name in SolutionState.__slots__:
         if name not in ("view", "rng"):
@@ -147,7 +146,7 @@ def test_greedy_random_is_maximal_independent():
 
 def test_maintain_maximality_restores_p3():
     # Half a swap: the center leaves, one end comes in; removing the center
-    # put both ends on the candidate heap.
+    # put both ends on the candidate list.
     state = manual_state(path(3), {1})
     state._remove(1)
     state._insert(0)
@@ -174,7 +173,7 @@ def test_maintain_maximality_random_leaves_no_zero_tight():
         # _remove queues the neighbors that became 0-tight; the removed
         # vertices themselves are the caller's to queue.
         for v in removed:
-            heapq.heappush(state._zero_heap, v)
+            state._zero_buf.append(v)
         state.maintain_maximality()
         state.audit()
         assert is_maximal(g, state.solution_set())
