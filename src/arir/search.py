@@ -195,7 +195,7 @@ class SolutionState:
         adj_x = adj[x]
         tight = self.tight
         self.touches += len(adj_x)
-        # A plain loop: a comprehension would open a frame per probe.
+        # A plain loop: before Python 3.12 a comprehension opens a frame.
         bucket = []
         for u in adj_x:
             if tight[u] == 1:
@@ -349,51 +349,78 @@ class SolutionState:
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
-    """Build a maximal solution by repeatedly inserting a minimum-degree
-    undecided (free and 0-tight) vertex, which deletes its neighbors. Degrees
-    count undecided neighbors. Ties go to the vertex whose degree fell most
-    recently, then to the lowest id.
+    """Build a maximal solution with the BDOne start of reducing-peeling
+    (Chang, Li & Zhang, SIGMOD 2017). Degrees count undecided (free,
+    0-tight, unpeeled) neighbours. While an undecided vertex of degree at
+    most 1 exists, the one of least degree is inserted, which deletes its
+    neighbour; that step is exact. Otherwise an undecided vertex of maximum
+    degree is peeled: it leaves the graph without joining the solution.
+    Either way, ties go to the vertex whose degree fell most recently, then
+    to the lowest id. Last, each peeled vertex left without a solution
+    neighbour is inserted, in ascending id, so the start is maximal.
 
     A bucket queue keeps one plain list per degree, popped from the end. A
     vertex is appended to its new bucket each time its degree falls, so the
-    lists hold at most n + 2m entries and the run is O(n + m). The pointer
-    low rises only past an empty bucket and falls to any degree below it, so
-    it never exceeds an undecided vertex's degree: the entry an undecided
-    vertex pops from bucket low is its current one, and only decided
-    vertices are skipped."""
+    lists hold at most n + 2m entries and the run is O(n + m); an entry
+    whose vertex is decided or whose degree has since fallen is skipped.
+    Degrees only fall, so the pointer to the highest bucket only falls."""
     state = SolutionState(view, rng)
     adj = view.adjacency
     in_sol, tight = state.in_sol, state.tight
-    # _insert appends the neighbors it turns 1-tight: the ones a pick deletes.
+    # _insert appends the neighbours it turns 1-tight: the ones a pick
+    # deletes, and any peeled ones.
     deleted = state._one_buf
     deg = [len(a) for a in adj]
-    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max(max(deg, default=0), 1) + 1)]
     # Filled in descending id, so the first pops go lowest id first.
     for v in reversed(range(len(deg))):
         buckets[deg[v]].append(v)
-    low = 0
-    top = len(buckets)
-    while low < top:
-        bucket = buckets[low]
-        if not bucket:
-            low += 1
+    zero, one = buckets[0], buckets[1]
+    high = len(buckets) - 1
+    while True:
+        if zero:
+            v, d = zero.pop(), 0
+        elif one:
+            v, d = one.pop(), 1
+        else:
+            while high > 1 and not buckets[high]:
+                high -= 1
+            if high <= 1:
+                break
+            v, d = buckets[high].pop(), high
+        if tight[v] or deg[v] != d:
             continue
-        v = bucket.pop()
-        if in_sol[v] or tight[v]:
-            continue
-        state._insert(v)
-        for u in deleted:
-            for t in adj[u]:
-                if not in_sol[t] and not tight[t]:
+        # Inserted and peeled vertices are marked by degree -1.
+        deg[v] = -1
+        if d > 1:
+            # Peel v: it leaves the graph without joining the solution.
+            for t in adj[v]:
+                if deg[t] >= 0 and not tight[t]:
                     d = deg[t] - 1
                     deg[t] = d
                     buckets[d].append(t)
-                    if d < low:
-                        low = d
+            continue
+        state._insert(v)
+        for u in deleted:
+            # A peeled neighbour lowered its neighbours' degrees when peeled.
+            if deg[u] < 0:
+                continue
+            for t in adj[u]:
+                if deg[t] >= 0 and not tight[t]:
+                    d = deg[t] - 1
+                    deg[t] = d
+                    buckets[d].append(t)
         deleted.clear()
-    # Queue every pick for the first swap exhaustion, in ascending id.
-    for v in compress(range(view.vertex_count), in_sol):
+    # Every vertex is now inserted, deleted (tight) or peeled. Insert the
+    # free peeled ones and queue every solution vertex for the first swap
+    # exhaustion, both in ascending id.
+    for v in range(view.vertex_count):
+        if not in_sol[v]:
+            if tight[v]:
+                continue
+            state._insert(v)
         state._enqueue(v)
+    deleted.clear()
     return state
 
 

@@ -207,6 +207,9 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     # The best solution of all rounds, on the frozen kernel.
     best = rs.lift(rs.current_best)
     t_best = time.perf_counter() - t_start
+    # The first round's start lifted to the input graph: every fixed vertex
+    # and every fold adds one vertex to a lifted solution.
+    start_size = len(best) + offset
 
     # The stagnation test falls after every period-th block (blocks counts
     # across rounds) and judges the whole period; arw never tests.
@@ -276,6 +279,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         "restarts": restarts,
         "empty_rounds": empty_rounds,
         "blocks": blocks,
+        "start_size": start_size,
         "best_size": len(solution),
         "time_to_best_s": t_best,
     }

@@ -64,30 +64,42 @@ def test_greedy_c5_size2():
 
 
 def stamp_scan_greedy(adj):
-    """Reference greedy, O(n^2). Each undecided vertex carries its degree
-    (undecided neighbours) and an arrival stamp: -id at the start, then a
-    fresh counter value at each drop of its degree, in the order the drops
-    happen. Each step scans the undecided vertices for the minimum degree,
-    then the latest stamp, and deletes the pick's closed neighbourhood."""
+    """Reference start, O(n^2): the reducing-peeling rule. Each undecided
+    vertex carries its degree (undecided neighbours) and an arrival stamp:
+    -id at the start, then a fresh counter value at each drop of its degree,
+    in the order the drops happen. While an undecided vertex has degree at
+    most 1, each step scans for the least degree, then the latest stamp,
+    inserts that vertex and deletes its neighbour; otherwise it peels the
+    vertex of greatest degree, then latest stamp, without inserting it.
+    Last, each peeled vertex without a solution neighbour is inserted, in
+    ascending id. Returns the solution and the peeled vertices."""
     deg = [len(a) for a in adj]
     stamp = [-v for v in range(len(adj))]
     undecided = set(range(len(adj)))
     clock = 0
     picks = set()
+    peeled = []
     while undecided:
         v = min(undecided, key=lambda u: (deg[u], -stamp[u]))
-        assert not any(deg[u] < deg[v] for u in undecided)
-        picks.add(v)
-        deleted = [u for u in adj[v] if u in undecided]
-        undecided.discard(v)
-        undecided.difference_update(deleted)
-        for u in deleted:
+        if deg[v] <= 1:
+            picks.add(v)
+            gone = [u for u in adj[v] if u in undecided]
+            undecided.discard(v)
+        else:
+            v = max(undecided, key=lambda u: (deg[u], stamp[u]))
+            peeled.append(v)
+            gone = [v]
+        undecided.difference_update(gone)
+        for u in gone:
             for t in adj[u]:
                 if t in undecided:
                     deg[t] -= 1
                     clock += 1
                     stamp[t] = clock
-    return picks
+    for v in sorted(peeled):
+        if not any(u in picks for u in adj[v]):
+            picks.add(v)
+    return picks, peeled
 
 
 def assert_greedy_state(view, seed):
@@ -96,7 +108,8 @@ def assert_greedy_state(view, seed):
     order, RNG, and both buffers empty."""
     state = greedy_init(view, random.Random(seed))
     assert state._zero_buf == [] and state._one_buf == []
-    expected = manual_state(view, stamp_scan_greedy(view.adjacency), random.Random(seed))
+    picks, _ = stamp_scan_greedy(view.adjacency)
+    expected = manual_state(view, picks, random.Random(seed))
     for name in SolutionState.__slots__:
         if name not in ("view", "rng"):
             assert getattr(state, name) == getattr(expected, name), name
@@ -130,8 +143,40 @@ def test_greedy_matches_stamp_scan_reference():
             else:
                 w.kill(v)
         view = LiveView.from_working(w)
-        expected = {view.ids[v] for v in stamp_scan_greedy(view.adjacency)}
+        expected = {view.ids[v] for v in stamp_scan_greedy(view.adjacency)[0]}
         assert assert_greedy_state(view, trial).solution_set() == expected
+
+
+def random_forest(n, rng):
+    """A forest on n vertices: each vertex after the first joins an earlier
+    one with probability 0.8, or starts a new tree."""
+    edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8]
+    return build_graph(edges, vertex_count_hint=n)
+
+
+def test_greedy_is_optimal_on_forests():
+    # A forest always has a vertex of degree at most 1, so nothing is peeled
+    # and every step is an exact reduction.
+    rng = random.Random(53)
+    for trial in range(300):
+        g = random_forest(rng.randint(1, 64), rng)
+        assert fresh_state(g, trial).size == exact_mis(g).alpha, trial
+
+
+def test_greedy_against_exact_mis():
+    rng = random.Random(59)
+    exact = 0
+    for trial in range(200):
+        g = gnp(rng.randint(1, 64), rng.uniform(0.02, 0.5), rng)
+        sol = fresh_state(g, trial).solution_set()
+        alpha = exact_mis(g).alpha
+        assert is_independent(g, sol) and is_maximal(g, sol)
+        assert len(sol) <= alpha
+        if not stamp_scan_greedy(g.adjacency)[1]:
+            assert len(sol) == alpha, trial
+            exact += 1
+    # The exact case is exercised, not vacuous.
+    assert exact >= 20
 
 
 def test_greedy_random_is_maximal_independent():
@@ -473,8 +518,8 @@ def test_snapshot_matches_working_graph():
 # A change that alters the trajectory on purpose updates these pins and says
 # so in CHANGES.md.
 PINNED_TRAJECTORIES = [
-    (1, [1293, 1285, 1290], 1035323, "7d67de00767d95f9"),
-    (2, [1292, 1292, 1290], 1040605, "0958e3ab3a9b2a75"),
+    (1, [1313, 1288, 1290], 1029082, "beca4870aa31c9e4"),
+    (2, [1311, 1289, 1288], 1050267, "891ea9e949af850c"),
 ]
 
 

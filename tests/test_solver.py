@@ -540,6 +540,21 @@ def test_run_stats_record_shape():
     assert result.stats["rounds"] == result.stats["restarts"] + 1
 
 
+def test_start_size_is_the_first_start_lifted():
+    # start_size is the first round's start on the input graph: what a run
+    # of no blocks returns, and no more than any run of the same seed finds.
+    rng = random.Random(61)
+    for trial in range(20):
+        g = gnp(rng.randint(5, 60), rng.uniform(0.05, 0.3), rng)
+        for variant in ("arir1", "arir3"):
+            start = run(g, RunConfig(variant=variant, m=20, max_blocks=0, seed=trial))
+            assert start.stats["start_size"] == start.stats["best_size"]
+            config = RunConfig(variant=variant, m=20, n=40, max_blocks=10, seed=trial)
+            searched = run(g, config)
+            assert searched.stats["start_size"] == start.stats["start_size"]
+            assert searched.stats["start_size"] <= searched.stats["best_size"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="cutoff"):
         RunConfig(cutoff_seconds=0)
