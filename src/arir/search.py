@@ -1,10 +1,12 @@
 """Perturbation-and-swap local search over a frozen working graph.
 
 The search keeps a maximal independent set and improves it in blocks of
-iterations. Each iteration forces one or more long-absent vertices into the
-solution, evicts their solution neighbors, and then exhausts (1,2)-swaps: a
-solution vertex leaves while two of its non-adjacent, singly-covered
-neighbors join.
+iterations. Each iteration forces one or more free vertices, each a uniform
+draw, into the solution, evicts their solution neighbors, and then exhausts
+(1,2)-swaps: a solution vertex leaves while two of its non-adjacent,
+singly-covered neighbors join. An iteration that ends on a smaller solution
+is kept only with the probability of Andrade, Resende & Werneck's iterated
+local search (J. Heuristics 2012), and is otherwise undone.
 """
 
 from __future__ import annotations
@@ -30,28 +32,25 @@ class LiveView(StaticGraph):
         return view
 
 
-# A perturbation picks uniformly among the oldest free // _WINDOW_SHARE + 1
-# entries of the age queue, where free counts the free vertices; that is about
-# the rank a 64-draw tournament's winner would have.
-_WINDOW_SHARE = 32
-# The age queue is compacted once its dead prefix is over half of it and
-# longer than this.
-_COMPACT_MIN = 4096
 # Most vertices one perturbation forces.
 _FORCE_CAP = 32
 
 
 class SolutionState:
     """Independent set plus the counters the search needs: per-vertex
-    tightness (number of solution neighbors), an age queue of free vertices,
-    and a seeded RNG. Vertices are the view's compact ids. Single-owner,
-    single-threaded.
+    tightness (number of solution neighbors), a list of the free vertices,
+    a journal of the current iteration's changes, and a seeded RNG. Vertices
+    are the view's compact ids. Single-owner, single-threaded.
 
-    The age queue is an append-only list with lazy deletion. _remove appends
-    a vertex when it leaves the solution and _compact keeps the live entries
-    in order, so a free vertex's age is its position among the live entries:
-    the first has been out longest. Entry i is live iff _age_pos[age[i]] == i;
-    solution vertices have _age_pos -1. No live entry precedes _age_head.
+    The free list is positional: _free holds every vertex outside the
+    solution, in no particular order, and _free_pos[v] is v's index in it
+    while v is free and -1 while v is in the solution. _remove appends and
+    _insert swap-removes, so both are O(1), and so is a uniform draw.
+
+    Each _insert journals the free-list index it vacated, then the vertex;
+    each _remove journals the vertex. Replayed in reverse, a vertex's current
+    membership tells which kind of entry it heads, so _undo restores the
+    solution, tightness and free list exactly.
     """
 
     __slots__ = (
@@ -62,9 +61,10 @@ class SolutionState:
         "size",
         "touches",
         "max_iter_touches",
-        "_age",
-        "_age_pos",
-        "_age_head",
+        "rejected",
+        "_free",
+        "_free_pos",
+        "_journal",
         "_zero_buf",
         "_one_buf",
         "_queue",
@@ -78,17 +78,13 @@ class SolutionState:
         self.in_sol = bytearray(n)
         self.tight = [0] * n
         self.size = 0
-        # Every vertex starts free, in shuffled order so no pick favours low ids.
-        age = list(range(n))
-        rng.shuffle(age)
-        self._age = age
-        pos = [-1] * n
-        for i, v in enumerate(age):
-            pos[v] = i
-        self._age_pos = pos
-        self._age_head = 0
         self.touches = 0
         self.max_iter_touches = 0
+        # Iterations whose worse solution was undone.
+        self.rejected = 0
+        self._free = list(range(n))
+        self._free_pos = list(range(n))
+        self._journal: list[int] = []
         self._zero_buf: list[int] = []
         self._one_buf: list[int] = []
         self._queue: deque[int] = deque()
@@ -101,7 +97,17 @@ class SolutionState:
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
         self.size += 1
-        self._age_pos[v] = -1
+        free = self._free
+        pos = self._free_pos
+        i = pos[v]
+        last = free.pop()
+        if last != v:
+            free[i] = last
+            pos[last] = i
+        pos[v] = -1
+        journal = self._journal
+        journal.append(i)
+        journal.append(v)
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -115,9 +121,10 @@ class SolutionState:
     def _remove(self, v: int) -> None:
         self.in_sol[v] = 0
         self.size -= 1
-        age = self._age
-        self._age_pos[v] = len(age)
-        age.append(v)
+        free = self._free
+        self._free_pos[v] = len(free)
+        free.append(v)
+        self._journal.append(v)
         adj = self.view.adjacency[v]
         self.touches += len(adj)
         tight = self.tight
@@ -130,6 +137,50 @@ class SolutionState:
                 zero_buf.append(w)
             elif t == 1:
                 one_buf.append(w)
+
+    def _undo(self) -> None:
+        """Replay the journal in reverse, back to the state it was cleared
+        at, and empty both candidate buffers. Called after a swap
+        exhaustion, so the swap queue is already empty."""
+        journal = self._journal
+        in_sol = self.in_sol
+        tight = self.tight
+        free = self._free
+        pos = self._free_pos
+        adjacency = self.view.adjacency
+        size = self.size
+        while journal:
+            v = journal.pop()
+            adj = adjacency[v]
+            self.touches += len(adj)
+            if in_sol[v]:
+                # v was inserted from index i: put it back there, and move
+                # the vertex that took its place back to the end.
+                i = journal.pop()
+                in_sol[v] = 0
+                size -= 1
+                for w in adj:
+                    tight[w] -= 1
+                end = len(free)
+                if i < end:
+                    last = free[i]
+                    free.append(last)
+                    pos[last] = end
+                    free[i] = v
+                else:
+                    free.append(v)
+                pos[v] = i
+            else:
+                # v was removed, so it is the free list's last entry.
+                in_sol[v] = 1
+                size += 1
+                for w in adj:
+                    tight[w] += 1
+                free.pop()
+                pos[v] = -1
+        self.size = size
+        self._zero_buf.clear()
+        self._one_buf.clear()
 
     def maintain_maximality(self) -> int:
         """Insert the free 0-tight vertices of the candidate list, lowest id
@@ -248,32 +299,14 @@ class SolutionState:
             self._drain_one_buf()
         return swaps
 
-    def _age_pick(self, batch: list[int]) -> int | None:
-        """Pick a free vertex biased toward those longest out of the solution:
-        one uniform draw over the oldest window of the age queue, falling
-        back to the oldest live entry on a dead slot. Redraw when the pick is
-        adjacent to an already-forced vertex. Needs a free vertex."""
-        pos = self._age_pos
-        age = self._age
-        h = self._age_head
-        while pos[age[h]] != h:
-            h += 1
-        if h > _COMPACT_MIN and 2 * h > len(age):
-            self._compact()
-            age = self._age
-            h = 0
-        self._age_head = h
-        # The window holds at most free entries, so it ends inside the queue:
-        # at least that many live entries lie at or after h.
-        free = self.view.vertex_count - self.size
-        window = free // _WINDOW_SHARE + 1
+    def _pick(self, batch: list[int]) -> int | None:
+        """Draw a free vertex uniformly, redrawing when it is adjacent to an
+        already-forced vertex of the batch. Needs a free vertex."""
+        free = self._free
         rng = self.rng
         has_edge = self.view.has_edge
         for _attempt in range(16):
-            i = h + int(rng.random() * window)
-            v = age[i]
-            if pos[v] != i:
-                v = age[h]
+            v = free[int(rng.random() * len(free))]
             for b in batch:
                 if has_edge(v, b):
                     break
@@ -281,22 +314,14 @@ class SolutionState:
                 return v
         return None
 
-    def _compact(self) -> None:
-        """Drop the dead entries of the age queue, keeping live ones in order."""
-        pos = self._age_pos
-        live = [v for i, v in enumerate(self._age) if pos[v] == i]
-        for i, v in enumerate(live):
-            pos[v] = i
-        self._age = live
-        self._age_head = 0
-
     def perturb(self) -> list[int]:
         """Force one or more free vertices into the solution, evicting their
         solution neighbors, then restore maximality.
 
         The force count c follows P(c=k) = 2^-k (fair coin until tails),
-        capped; forced vertices within a batch are pairwise non-adjacent.
-        Returns the forced vertices; no-op when no free vertex exists.
+        capped. Each forced vertex is a uniform draw over the free vertices,
+        and those within a batch are pairwise non-adjacent. Returns the
+        forced vertices; no-op when no free vertex exists.
         """
         n = self.view.vertex_count
         if self.size == n:
@@ -311,7 +336,7 @@ class SolutionState:
         for _ in range(c):
             if self.size == n:
                 break
-            v = self._age_pick(forced)
+            v = self._pick(forced)
             if v is None:
                 break
             self.touches += len(adj[v])
@@ -339,13 +364,13 @@ class SolutionState:
         if size != self.size:
             raise AssertionError(f"size {self.size} != recount {size}")
         free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
-        # Exactly one live entry per free vertex, and none before the head.
-        age, pos = self._age, self._age_pos
-        live = [v for i, v in enumerate(age) if pos[v] == i]
-        if any(pos[v] == i for i, v in enumerate(age[: self._age_head])):
-            raise AssertionError("live age-queue entry before the head")
-        if sorted(live) != free:
-            raise AssertionError("age queue out of sync with the free vertices")
+        if sorted(self._free) != free:
+            raise AssertionError("free list out of sync with the free vertices")
+        pos = self._free_pos
+        if any(pos[v] != i for i, v in enumerate(self._free)):
+            raise AssertionError("free-list position out of sync")
+        if any(pos[v] != -1 for v in compress(range(len(pos)), in_sol)):
+            raise AssertionError("solution vertex with a free-list position")
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
@@ -421,13 +446,21 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
             state._insert(v)
         state._enqueue(v)
     deleted.clear()
+    # The start is no iteration's to undo.
+    state._journal.clear()
     return state
 
 
 def arw_block(state: SolutionState, m: int) -> set[int]:
     """Run m iterations of (perturb, exhaust swaps) and return the best
-    solution observed, the input included, in working-graph ids. Tracks the
-    largest per-iteration touch count in state.max_iter_touches."""
+    solution observed, the input included, in working-graph ids.
+
+    An iteration that ends smaller than it began is kept with probability
+    1 / (1 + d * d_best), where d is what it lost and d_best how far it
+    ends below the block's best, as in ARW's iterated local search; otherwise
+    it is undone and counted in state.rejected. Only a worse iteration draws.
+    Tracks the largest per-iteration touch count, undo included, in
+    state.max_iter_touches."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
     if m > 0 and state.size < state.view.vertex_count:
@@ -435,16 +468,25 @@ def arw_block(state: SolutionState, m: int) -> set[int]:
         if state.size > best_size:
             best_mask = bytes(state.in_sol)
             best_size = state.size
+        journal = state._journal
+        rng = state.rng
         max_iter = 0
         for _ in range(m):
             t0 = state.touches
+            before = state.size
+            journal.clear()
             state.perturb()
             state.exhaust_swaps()
+            size = state.size
+            if size < before:
+                if rng.random() * (1 + (before - size) * (best_size - size)) >= 1:
+                    state._undo()
+                    state.rejected += 1
+            elif size > best_size:
+                best_mask = bytes(state.in_sol)
+                best_size = size
             dt = state.touches - t0
             if dt > max_iter:
                 max_iter = dt
-            if state.size > best_size:
-                best_mask = bytes(state.in_sol)
-                best_size = state.size
         state.max_iter_touches = max_iter
     return set(compress(state.view.ids, best_mask))

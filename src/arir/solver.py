@@ -218,6 +218,8 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     period_improved = False
     blocks = 0
     restarts = 0
+    # Iterations undone by finished rounds' searches.
+    rejected = 0
     # Rounds that begin on a snapshot with no vertex left to search.
     empty_rounds = int(rs.state.view.vertex_count == 0)
     # An empty kernel is solved by kernelization alone: no block runs.
@@ -248,6 +250,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
 
         # A restart only follows a block that did not improve.
         if restart:
+            rejected += rs.state.rejected
             rs = restart_round(GK, rs, config, rng)
             restarts += 1
             empty_rounds += rs.state.view.vertex_count == 0
@@ -279,6 +282,7 @@ def run(graph: StaticGraph, config: RunConfig) -> RunResult:
         "restarts": restarts,
         "empty_rounds": empty_rounds,
         "blocks": blocks,
+        "rejected": rejected + rs.state.rejected,
         "start_size": start_size,
         "best_size": len(solution),
         "time_to_best_s": t_best,

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -31,25 +30,23 @@ from helpers import (
     view_of,
 )
 
-def live_queue(state):
-    """The live entries of the age queue, oldest first."""
-    pos = state._age_pos
-    return [v for i, v in enumerate(state._age) if pos[v] == i]
-
-
 def fresh_state(g, seed=0):
     return greedy_init(view_of(g), random.Random(seed))
 
 
 def manual_state(g, solution, rng=None):
-    # Queued in ascending id for the first swap exhaustion, as greedy_init does.
+    # Inserted in the order given (ascending for a set), which fixes the free
+    # list's order, and queued in ascending id for the first swap
+    # exhaustion, as greedy_init does.
     view = g if isinstance(g, LiveView) else view_of(g)
     state = SolutionState(view, rng or random.Random(0))
-    for v in sorted(solution):
+    for v in solution if isinstance(solution, list) else sorted(solution):
         state._insert(v)
+    for v in sorted(solution):
         state._enqueue(v)
     state._zero_buf.clear()
     state._one_buf.clear()
+    state._journal.clear()
     return state
 
 
@@ -72,17 +69,18 @@ def stamp_scan_greedy(adj):
     inserts that vertex and deletes its neighbour; otherwise it peels the
     vertex of greatest degree, then latest stamp, without inserting it.
     Last, each peeled vertex without a solution neighbour is inserted, in
-    ascending id. Returns the solution and the peeled vertices."""
+    ascending id. Returns the solution in insertion order and the peeled
+    vertices."""
     deg = [len(a) for a in adj]
     stamp = [-v for v in range(len(adj))]
     undecided = set(range(len(adj)))
     clock = 0
-    picks = set()
+    picks = []
     peeled = []
     while undecided:
         v = min(undecided, key=lambda u: (deg[u], -stamp[u]))
         if deg[v] <= 1:
-            picks.add(v)
+            picks.append(v)
             gone = [u for u in adj[v] if u in undecided]
             undecided.discard(v)
         else:
@@ -96,16 +94,19 @@ def stamp_scan_greedy(adj):
                     deg[t] -= 1
                     clock += 1
                     stamp[t] = clock
+    chosen = set(picks)
     for v in sorted(peeled):
-        if not any(u in picks for u in adj[v]):
-            picks.add(v)
+        if not any(u in chosen for u in adj[v]):
+            picks.append(v)
+            chosen.add(v)
     return picks, peeled
 
 
 def assert_greedy_state(view, seed):
     """greedy_init's whole state equals the one manual_state builds from the
-    reference's picks: solution, tightness, touches, age queue, swap queue in
-    order, RNG, and both buffers empty."""
+    reference's picks in the reference's order: solution, tightness,
+    touches, free list and positions, swap queue in order, RNG, and both
+    buffers and the journal empty."""
     state = greedy_init(view, random.Random(seed))
     assert state._zero_buf == [] and state._one_buf == []
     picks, _ = stamp_scan_greedy(view.adjacency)
@@ -389,64 +390,120 @@ def test_exhaustion_leaves_no_swap():
             assert find_one_two_swap(state) is None
 
 
-def test_age_queue_compacts_and_stays_in_sync():
+def test_free_list_stays_in_sync(monkeypatch):
     g = gnp(60, 0.1, random.Random(14))
-    state = fresh_state(g, seed=3)
-    compacted = False
-    for _ in range(80):
-        before = len(state._age)
-        arw_block(state, 100)
-        # Between compactions the queue only grows.
-        compacted = compacted or len(state._age) < before
+    for cap in (1, arir.search._FORCE_CAP):
+        monkeypatch.setattr(arir.search, "_FORCE_CAP", cap)
+        state = fresh_state(g, seed=3)
         state.audit()
-    assert compacted
+        for _ in range(80):
+            arw_block(state, 100)
+            state.audit()
 
 
-def test_perturb_picks_from_the_oldest_window(monkeypatch):
-    rng = random.Random(19)
-    for trial in range(30):
-        g = gnp(rng.randint(20, 200), rng.uniform(0.01, 0.2), rng)
-        state = fresh_state(g, trial)
-        for _ in range(40):
-            free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
-            forced = state.perturb()
+def test_pick_reaches_every_free_vertex_of_petersen():
+    g = petersen()
+    rng = random.Random(17)
+    for trial in range(10):
+        state = manual_state(g, random_maximal(g, rng), rng=random.Random(trial))
+        free = [v for v in range(10) if not state.in_sol[v]]
+        counts = dict.fromkeys(free, 0)
+        draws = 600 * len(free)
+        for _ in range(draws):
+            counts[state._pick([])] += 1
+        # Uniform: each free vertex near 600 draws, none missed.
+        assert all(450 <= c <= 750 for c in counts.values()), counts
+
+
+def test_perturb_picks_the_centre_of_a_star():
+    # The centre is the only free vertex; forcing it evicts every leaf, and
+    # no other vertex can join the batch.
+    g = star(6)
+    state = manual_state(g, set(range(1, 7)), rng=random.Random(4))
+    assert state._free == [0]
+    assert state.perturb() == [0]
+    assert state.solution_set() == {0}
+    state.audit()
+
+
+def snapshot(state):
+    return (
+        bytes(state.in_sol),
+        list(state.tight),
+        state.size,
+        list(state._free),
+        list(state._free_pos),
+        list(state._zero_buf),
+        list(state._one_buf),
+        len(state._queue),
+    )
+
+
+def test_rejected_iteration_restores_the_state():
+    # Each scripted iteration forces one vertex, the free list's k-th entry
+    # (a 0.9 coin ends the count at 1), and its last draw, 0.99, rejects
+    # any worse outcome, since 0.99 * (1 + d * d_best) >= 1.98.
+    rng = random.Random(61)
+    rejections = 0
+    for trial in range(60):
+        g = gnp(rng.randint(8, 64), rng.uniform(0.05, 0.4), rng)
+        state = greedy_init(view_of(g), random.Random(trial))
+        arw_block(state, rng.randint(1, 30))
+        for k in range(len(state._free)):
+            free = len(state._free)
+            if k >= free:
+                break
+            state.rng = ScriptedRng(uniforms=[0.9, (k + 0.5) / free, 0.99])
+            before = snapshot(state)
+            rejected = state.rejected
+            arw_block(state, 1)
+            if state.rejected > rejected:
+                rejections += 1
+                assert snapshot(state) == before, trial
+            else:
+                assert state.size >= before[2], trial
+            state.audit()
+    # The rejection path is exercised, not vacuous.
+    assert rejections >= 200
+
+
+def test_undo_restores_any_iteration():
+    # _undo restores the iteration's start whatever its outcome.
+    rng = random.Random(67)
+    for trial in range(100):
+        g = gnp(rng.randint(4, 64), rng.uniform(0.05, 0.4), rng)
+        state = greedy_init(view_of(g), random.Random(trial))
+        state.exhaust_swaps()
+        for _ in range(5):
+            before = snapshot(state)
+            state._journal.clear()
+            state.perturb()
             state.exhaust_swaps()
-            assert set(forced) <= set(free)
-        # With one forced vertex per call, the pick is one of the oldest
-        # free // 32 + 1 live entries of the queue just before the call.
-        with monkeypatch.context() as patch:
-            patch.setattr(arir.search, "_FORCE_CAP", 1)
-            for _ in range(40):
-                live = live_queue(state)
-                forced = state.perturb()
-                state.exhaust_swaps()
-                assert len(forced) == 1
-                assert live.index(forced[0]) <= len(live) // 32
-        state.audit()
+            state._undo()
+            assert snapshot(state) == before, trial
+            state.audit()
+            state.perturb()
+            state.exhaust_swaps()
 
 
-def test_age_queue_keeps_removal_order(monkeypatch):
-    # The live entries are the free vertices in the order they last left the
-    # solution; those never in it keep their start-up order ahead of them.
-    g = gnp(60, 0.1, random.Random(14))
-    state = fresh_state(g, seed=3)
-    clock = itertools.count()
-    last = {v: next(clock) for v in state._age}
-    remove = SolutionState._remove
-
-    def recording_remove(self, v):
-        last[v] = next(clock)
-        remove(self, v)
-
-    monkeypatch.setattr(SolutionState, "_remove", recording_remove)
-    compactions = 0
-    for _ in range(80):
-        before = len(state._age)
-        arw_block(state, 100)
-        compactions += len(state._age) < before
-        free = [v for v in range(state.view.vertex_count) if not state.in_sol[v]]
-        assert live_queue(state) == sorted(free, key=last.__getitem__)
-    assert compactions >= 2
+def test_arw_block_against_exact_mis():
+    rng = random.Random(71)
+    for trial in range(150):
+        g = gnp(rng.randint(1, 64), rng.uniform(0.02, 0.5), rng)
+        alpha = exact_mis(g).alpha
+        if trial % 2:
+            state = fresh_state(g, trial)
+        else:
+            state = manual_state(g, random_maximal(g, rng), rng=random.Random(trial))
+        iterations = 0
+        for m in (1, 10, 50):
+            before = state.size
+            best = arw_block(state, m)
+            iterations += m
+            assert is_independent(g, best) and is_maximal(g, best), trial
+            assert before <= len(best) <= alpha, trial
+            assert state.rejected <= iterations
+            state.audit()
 
 
 def test_arw_block_leaves_no_swap():
@@ -518,8 +575,8 @@ def test_snapshot_matches_working_graph():
 # A change that alters the trajectory on purpose updates these pins and says
 # so in CHANGES.md.
 PINNED_TRAJECTORIES = [
-    (1, [1313, 1288, 1290], 1029082, "beca4870aa31c9e4"),
-    (2, [1311, 1289, 1288], 1050267, "891ea9e949af850c"),
+    (1, [1319, 1325, 1325], 1023313, "8bf617343d09cef4"),
+    (2, [1321, 1321, 1328], 1032983, "b7bb5e27a4a62d97"),
 ]
 
 

@@ -197,6 +197,30 @@ def test_empty_rounds_counts_rounds_that_start_empty(monkeypatch):
     assert seen > 0
 
 
+def test_rejected_iterations_summed_over_rounds(monkeypatch):
+    # A mesh search rejects some worse iterations, and never more than it
+    # ran; with restarts, stats["rejected"] sums every round's count.
+    n, edges = bench_gen.mesh(30, random.Random(1))
+    g = build_graph(edges, vertex_count_hint=n)
+    states = {}
+    block = arir.solver.arw_block
+
+    def spy(state, m):
+        states[id(state)] = state
+        return block(state, m)
+
+    monkeypatch.setattr(arir.solver, "arw_block", spy)
+    for cfg in (
+        RunConfig(variant="arir1", m=500, max_blocks=4, seed=1),
+        RunConfig(variant="arir3", m=50, n=50, max_blocks=60, seed=2),
+    ):
+        states.clear()
+        stats = run(g, cfg).stats
+        assert 0 < stats["rejected"] <= stats["blocks"] * cfg.m
+        assert stats["rejected"] == sum(s.rejected for s in states.values())
+        assert (stats["restarts"] > 0) == (cfg.variant == "arir3")
+
+
 def test_restarting_runs_match_exact_mis():
     # Differential: short blocks and a test after each, so restarts fire;
     # every answer is an independent, maximal set no larger than alpha.
