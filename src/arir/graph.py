@@ -95,33 +95,28 @@ def check_solution(
 
 
 def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
-    """Build a StaticGraph from raw edge pairs.
+    """Build a StaticGraph from raw edge pairs, read in one pass.
 
     Self-loops are dropped and duplicate edges collapsed. The vertex count is
     max(hint, largest id + 1); ids beyond the largest endpoint become isolated
     vertices.
     """
-    max_id = -1
-    pairs = []
+    nbr: list[list[int]] = [[] for _ in range(vertex_count_hint or 0)]
     for u, v in edges:
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
+        top = u if u > v else v
+        if top >= len(nbr):
+            nbr.extend([] for _ in range(top + 1 - len(nbr)))
         if u != v:
-            pairs.append((u, v))
-    n = max_id + 1
-    if vertex_count_hint is not None:
-        n = max(n, vertex_count_hint)
-    if n <= 0:
+            nbr[u].append(v)
+            nbr[v].append(u)
+    if not nbr:
         raise ValueError("empty graph undefined")
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    for u, v in pairs:
-        nbr[u].add(v)
-        nbr[v].add(u)
-    return StaticGraph([sorted(s) for s in nbr])
+    # Replaced in place, so each raw list is freed as its sorted one is made.
+    for v, a in enumerate(nbr):
+        nbr[v] = sorted(set(a))
+    return StaticGraph(nbr)
 
 
 class WorkingGraph:

@@ -4,8 +4,10 @@ Metis graphs and solutions."""
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import chain, repeat
 from typing import TextIO
 
 from .graph import StaticGraph, build_graph
@@ -78,7 +80,8 @@ def read_graph(path: str, fmt: str = "auto", index_base: str = "auto") -> Static
 
 def read_metis(path: str) -> StaticGraph:
     """Read a Metis-format graph: header "n m", then line i lists the
-    (1-based) neighbors of vertex i. '%' comment lines are skipped.
+    (1-based) neighbors of vertex i in any order. '%' comment lines are
+    skipped. The file is read in one pass.
 
     Every edge must be listed from both ends exactly once (no line repeats
     an entry or lists its own vertex), and m must be the edge count. Missing
@@ -86,58 +89,65 @@ def read_metis(path: str) -> StaticGraph:
     n-th vertex line. Errors name lines as they are numbered in the file.
     """
     with open_text(path) as fh:
-        lines = [
+        lines = (
             (no, ln) for no, ln in enumerate(fh, 1) if not ln.lstrip().startswith("%")
-        ]
-    if not lines:
-        raise ParseError(f"{path}: empty metis file")
-    header = lines[0][1].split()
-    if len(header) < 2:
-        raise ParseError(f"{path}: metis header needs 'n m', got {lines[0][1]!r}")
-    n = _parse_id(header[0], f"{path} header")
-    m = _parse_id(header[1], f"{path} header")
-    if len(header) >= 3 and header[2].strip("0") != "":
-        raise ParseError(f"{path}: weighted metis format {header[2]} unsupported")
-    if n < 0:
-        raise ParseError(f"{path}: negative vertex count {n}")
-    # listed_by[u]: the vertices whose lines list u, ascending. In a valid
-    # file it equals each line's sorted entries, so it becomes the adjacency.
-    listed_by: list[list[int]] = [[] for _ in range(n)]
-    rows: list[list[int]] = []
-    for i, (no, line) in enumerate(lines[1 : n + 1]):
-        toks = line.split()
-        try:
-            row = sorted([int(t) - 1 for t in toks])
-        except ValueError:
-            row = None
-        if (
-            row is None
-            or (row and (row[0] < 0 or row[-1] >= n))
-            or i in row
-            or len(set(row)) != len(row)
-        ):
-            _reject_metis_line(toks, i, n, f"{path} line {no}")
-        rows.append(row)
-        for u in row:
-            listed_by[u].append(i)
-    for no, line in lines[n + 1 :]:
-        if line.strip():
-            raise ParseError(f"{path} line {no}: text after the {n} vertex lines")
-    rows.extend([] for _ in range(n - len(rows)))
-    if rows != listed_by:
-        v = next(v for v in range(n) if rows[v] != listed_by[v])
-        u = min(set(rows[v]).symmetric_difference(listed_by[v]))
-        a, b = (v, u) if u in rows[v] else (u, v)
-        raise ParseError(
-            f"{path}: vertex {a + 1} lists {b + 1}, but {b + 1} does not list"
-            f" {a + 1} (every edge is listed from both ends exactly once)"
         )
-    graph = StaticGraph(listed_by)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: empty metis file")
+        header = first[1].split()
+        if len(header) < 2:
+            raise ParseError(f"{path}: metis header needs 'n m', got {first[1]!r}")
+        n = _parse_id(header[0], f"{path} header")
+        m = _parse_id(header[1], f"{path} header")
+        if len(header) >= 3 and header[2].strip("0") != "":
+            raise ParseError(f"{path}: weighted metis format {header[2]} unsupported")
+        if n < 0:
+            raise ParseError(f"{path}: negative vertex count {n}")
+        # adjacency[u]: the vertices whose lines list u, ascending. When line
+        # i is read it holds exactly the listers below i, which must be the
+        # line's own entries below i; so every edge is checked from both ends.
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        # A missing trailing line reads as an empty one: an isolated vertex.
+        padded = chain(lines, repeat((None, "")))
+        for i, (no, line) in zip(range(n), padded):
+            toks = line.split()
+            try:
+                row = sorted([int(t) - 1 for t in toks])
+            except ValueError:
+                row = None
+            if (
+                row is None
+                or (row and (row[0] < 0 or row[-1] >= n))
+                or i in row
+                or len(set(row)) != len(row)
+            ):
+                _reject_metis_line(toks, i, n, f"{path} line {no}")
+            below = row[: bisect_left(row, i)]
+            if adjacency[i] != below:
+                _reject_unpaired(path, i, below, adjacency[i])
+            for u in row:
+                adjacency[u].append(i)
+        for no, line in lines:
+            if line.strip():
+                raise ParseError(f"{path} line {no}: text after the {n} vertex lines")
+    graph = StaticGraph(adjacency)
     if graph.edge_count != m:
         raise ParseError(
             f"{path}: header claims {m} edges, adjacency holds {graph.edge_count}"
         )
     return graph
+
+
+def _reject_unpaired(path: str, v: int, lists: list[int], listed_by: list[int]) -> None:
+    """Raise ParseError naming the smallest u that vertex v lists but that
+    does not list v, or that lists v but that v does not list."""
+    u = min(set(lists).symmetric_difference(listed_by))
+    a, b = (v, u) if u in lists else (u, v)
+    raise ParseError(
+        f"{path}: vertex {a + 1} lists {b + 1}, but {b + 1} does not list"
+        f" {a + 1} (every edge is listed from both ends exactly once)"
+    )
 
 
 def _reject_metis_line(toks: list[str], i: int, n: int, where: str) -> None:
@@ -208,7 +218,7 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
     if str(index_base) == "1":
         if min_id == 0:
             raise ParseError(f"{path}: id 0 present in a 1-based edge list")
-        pairs = [(u - 1, v - 1) for u, v in pairs]
+        return build_graph((u - 1, v - 1) for u, v in pairs)
     return build_graph(pairs)
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +14,7 @@ from arir import (
     write_metis,
     write_solution,
 )
-from helpers import gnp
+from helpers import bench_gen, gnp
 
 
 def test_metis_round_trip_random(tmp_path):
@@ -63,6 +65,8 @@ def test_metis_rejects_unpaired_neighbors(tmp_path):
         # is listed twice from one end.
         "repeat_for_missing_end": ("2 1\n2 2\n\n", "line 2: neighbor 2 listed twice"),
         "directed_triangle": ("3 3\n2 2\n3 3\n1 1\n", "line 2: neighbor 2 listed twice"),
+        # Vertex 3 has no line, so it lists nothing.
+        "listed_without_line": ("3 1\n3\n\n", "vertex 1 lists 3, but 3 does not list 1"),
     }
     for name, (text, message) in cases.items():
         target = tmp_path / f"{name}.graph"
@@ -78,6 +82,8 @@ def test_metis_names_file_lines_and_rejects_extra_lines(tmp_path):
         # A third vertex line in a 2-vertex file would be dropped unread.
         "extra_vertex_line": ("2 1\n2\n1\n3 1\n", "line 4: text after the 2 vertex"),
         "extra_after_blank": ("1 0\n\n\n5\n", "line 4: text after the 1 vertex lines"),
+        "comment_between_lines": ("3 2\n2\n% c\n1 1\n\n", "line 4: neighbor 1 listed twice"),
+        "self_on_last_line": ("3 1\n2\n1\n3\n", "line 4: vertex 3 lists itself"),
     }
     for name, (text, message) in cases.items():
         target = tmp_path / f"{name}.graph"
@@ -89,6 +95,19 @@ def test_metis_names_file_lines_and_rejects_extra_lines(tmp_path):
     target.write_text("2 1\n2\n1\n\n  \n% end\n\n")
     g = read_metis(str(target))
     assert g.vertex_count == 2 and g.has_edge(0, 1)
+
+
+def test_metis_reads_unsorted_lines_and_crlf(tmp_path):
+    unsorted = tmp_path / "unsorted.graph"
+    unsorted.write_text("4 3\n4 3 2\n1\n1\n1\n")
+    g = read_metis(str(unsorted))
+    assert g.adjacency == [[1, 2, 3], [0], [0], [0]]
+    text = "% star\n4 3\n2 3 4\n1\n% between\n1\n1\n\n"
+    lf = tmp_path / "lf.graph"
+    lf.write_bytes(text.encode())
+    crlf = tmp_path / "crlf.graph"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert read_metis(str(crlf)) == read_metis(str(lf)) == g
 
 
 def test_metis_rejects_wrong_edge_count(tmp_path):
@@ -192,3 +211,34 @@ def test_solution_rejects_repeated_id(tmp_path):
     target.write_text("# size=2\n0\n2\n\n0\n")
     with pytest.raises(ParseError, match=r"twice\.sol line 5: vertex 0 already listed on line 2"):
         read_solution(str(target))
+
+
+def _traced_read(reader, path: str) -> tuple[int, int]:
+    """The tracemalloc peak of one read and the memory its graph retains."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = reader(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.vertex_count > 0
+    return peak, retained
+
+
+def test_readers_peak_memory_stays_near_the_graph(tmp_path):
+    # A 141 x 141 mesh: 19,881 vertices, about 59k edges. The Metis reader
+    # keeps one adjacency copy (measured peak 1.005x what the graph retains;
+    # a reader that also holds the file's lines and a second copy peaks at
+    # 3.9x). The edge-list reader holds its parsed pairs while the graph is
+    # built (measured 1.65x; a second pair list and a set per vertex make
+    # it 4.5x).
+    n, edges = bench_gen.mesh(141, random.Random(1))
+    metis = tmp_path / "mesh.graph"
+    bench_gen.write_metis(str(metis), n, edges)
+    peak, retained = _traced_read(read_metis, str(metis))
+    assert peak <= 1.5 * retained, (peak, retained)
+    edgelist = tmp_path / "mesh.edges"
+    edgelist.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    peak, retained = _traced_read(read_edgelist, str(edgelist))
+    assert peak <= 2.0 * retained, (peak, retained)
