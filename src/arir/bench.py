@@ -36,15 +36,8 @@ class BenchEntry:
 _CONFIG_KEYS = ("m", "n", "max_blocks")
 
 
-@dataclass(slots=True)
-class BenchRow:
-    instance: str
-    variant: str
-    runs: int
-    max_size: int | None = None
-    avg_size: float | None = None
-    avg_time_to_best: float | None = None
-    error: str | None = None
+def _row_name(entry: BenchEntry) -> str:
+    return os.path.splitext(os.path.basename(entry.instance_path))[0]
 
 
 def load_manifest(path: str) -> list[BenchEntry]:
@@ -59,6 +52,7 @@ def load_manifest(path: str) -> list[BenchEntry]:
     if not isinstance(raw, list):
         raise ValueError(f"{path}: manifest must be a JSON list")
     entries = []
+    owners: dict[tuple[str, str], int] = {}  # row label -> entry index
     for i, item in enumerate(raw):
         try:
             if "cutoff_s" not in item:
@@ -78,31 +72,40 @@ def load_manifest(path: str) -> list[BenchEntry]:
             check_read_options(entry.format, entry.index_base)
             if not os.path.exists(entry.instance_path):
                 raise ValueError(f"instance {entry.instance_path} not found")
+            # Each row holds one entry's runs of one variant, so two pairs
+            # with the same label would merge into one row.
+            for variant in variants:
+                label = (_row_name(entry), variant)
+                if label in owners:
+                    raise ValueError(
+                        f"row {label[0]}/{variant} would merge with entry "
+                        f"{owners[label]}'s"
+                    )
+                owners[label] = i
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: entry {i}: {exc}") from None
         entries.append(entry)
     return entries
 
 
-def _bench_task(
-    task: tuple[BenchEntry, RunConfig],
-) -> tuple[str, RunConfig, dict | None, str | None]:
+def _bench_task(task: tuple[BenchEntry, RunConfig]) -> tuple[dict | None, str | None]:
     entry, config = task
-    name = os.path.splitext(os.path.basename(entry.instance_path))[0]
     try:
         graph = read_graph(
             entry.instance_path, fmt=entry.format, index_base=entry.index_base
         )
-        return (name, config, run(graph, config).stats, None)
+        return run(graph, config).stats, None
     except Exception as exc:  # noqa: BLE001 - reported as an error row
-        return (name, config, None, str(exc))
+        return None, str(exc)
 
 
-def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
-    """Execute the whole grid and aggregate per (instance, variant).
+def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[dict]:
+    """Execute the whole grid and aggregate each entry's runs per variant.
 
-    A failing instance yields error rows for its variants; other instances
-    continue. Rows come back sorted by instance name then variant.
+    Each (entry, variant) gives one row: a dict of its formatted CSV cells
+    plus "error", None unless a seed failed. A failing seed makes its row an
+    error row (runs 0, empty size and time cells); other rows continue. Rows
+    come back sorted by instance name then variant.
     """
     tasks = [
         (entry, replace(entry.config, variant=variant, seed=seed))
@@ -115,55 +118,36 @@ def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[BenchRow]:
             outcomes = list(pool.map(_bench_task, tasks))
     else:
         outcomes = [_bench_task(t) for t in tasks]
-
-    grouped: dict[tuple[str, str], list] = {}
-    failures: dict[tuple[str, str], str] = {}
-    for name, config, stats, error in outcomes:
-        key = (name, config.variant)
-        if error is not None:
-            failures[key] = error
-            log.error(
-                "%s/%s seed %d failed: %s", name, config.variant, config.seed, error
-            )
-            continue
-        grouped.setdefault(key, []).append(stats)
-
+    outcomes = iter(outcomes)  # in task order: entry, then variant, then seed
     rows = []
-    for key in sorted(set(grouped) | set(failures)):
-        name, variant = key
-        if key in failures:
-            rows.append(BenchRow(name, variant, runs=0, error=failures[key]))
-            continue
-        stats = grouped[key]
-        sizes = [s["best_size"] for s in stats]
-        times = [s["time_to_best_s"] for s in stats]
-        rows.append(
-            BenchRow(
-                instance=name,
-                variant=variant,
-                runs=len(sizes),
-                max_size=max(sizes),
-                avg_size=sum(sizes) / len(sizes),
-                avg_time_to_best=sum(times) / len(times),
-            )
-        )
+    for entry in entries:
+        name = _row_name(entry)
+        for variant in entry.variants:
+            row = dict.fromkeys(CSV_COLUMNS, "")
+            row.update(instance=name, variant=variant, runs=0, error=None)
+            sizes, times = [], []
+            for seed in entry.seeds:
+                stats, error = next(outcomes)
+                if error is not None:
+                    log.error("%s/%s seed %d failed: %s", name, variant, seed, error)
+                    row["error"] = error
+                    continue
+                sizes.append(stats["best_size"])
+                times.append(stats["time_to_best_s"])
+            if row["error"] is None:
+                row.update(
+                    runs=len(sizes),
+                    max=max(sizes),
+                    avg=f"{sum(sizes) / len(sizes):.2f}",
+                    avg_time_to_best_s=f"{sum(times) / len(times):.3f}",
+                )
+            rows.append(row)
+    rows.sort(key=lambda r: (r["instance"], r["variant"]))
     return rows
 
 
-def write_csv(rows: list[BenchRow], path: str) -> None:
+def write_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.instance,
-                    row.variant,
-                    row.runs,
-                    "" if row.max_size is None else row.max_size,
-                    "" if row.avg_size is None else f"{row.avg_size:.2f}",
-                    ""
-                    if row.avg_time_to_best is None
-                    else f"{row.avg_time_to_best:.3f}",
-                ]
-            )
+        writer = csv.DictWriter(fh, CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)

@@ -151,14 +151,17 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     with _as_unusable():
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         entries = load_manifest(args.manifest)
     _check_writable(args.csv)
     rows = run_bench(entries, jobs=args.jobs)
     with _as_unusable():
         write_csv(rows, args.csv)
     for row in rows:
-        if row.error is not None:
-            print(f"error: {row.instance}/{row.variant}: {row.error}", file=sys.stderr)
+        if row["error"] is not None:
+            label = f"{row['instance']}/{row['variant']}"
+            print(f"error: {label}: {row['error']}", file=sys.stderr)
     return 0
 
 

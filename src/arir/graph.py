@@ -97,7 +97,8 @@ def check_solution(
 def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
     """Build a StaticGraph from raw edge pairs, read in one pass.
 
-    Self-loops are dropped and duplicate edges collapsed. The vertex count is
+    A self-loop raises ValueError, because dropping it would let that vertex
+    into a solution; duplicate edges collapse. The vertex count is
     max(hint, largest id + 1); ids beyond the largest endpoint become isolated
     vertices.
     """
@@ -105,12 +106,13 @@ def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
     for u, v in edges:
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop on vertex {u}")
         top = u if u > v else v
         if top >= len(nbr):
             nbr.extend([] for _ in range(top + 1 - len(nbr)))
-        if u != v:
-            nbr[u].append(v)
-            nbr[v].append(u)
+        nbr[u].append(v)
+        nbr[v].append(u)
     if not nbr:
         raise ValueError("empty graph undefined")
     # Replaced in place, so each raw list is freed as its sorted one is made.

@@ -97,7 +97,9 @@ def read_metis(path: str) -> StaticGraph:
             raise ParseError(f"{path}: empty metis file")
         header = first[1].split()
         if len(header) < 2:
-            raise ParseError(f"{path}: metis header needs 'n m', got {first[1]!r}")
+            raise ParseError(
+                f"{path}: metis header needs 'n m', got {first[1].rstrip()!r}"
+            )
         n = _parse_id(header[0], f"{path} header")
         m = _parse_id(header[1], f"{path} header")
         if len(header) >= 3 and header[2].strip("0") != "":

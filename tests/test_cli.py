@@ -608,3 +608,109 @@ def test_bench_manifest_not_json_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: not JSON ("), err
     assert not csv_path.exists()
+
+
+def _merging_manifest(tmp_path, case):
+    """A manifest whose two (entry, variant) pairs would share one row label,
+    and the indices of the entry that is rejected and of the entry it merges
+    with."""
+    base = {"cutoff_s": 5.0, "seeds": [1, 2], "max_blocks": 1}
+    if case == "same_stem":
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        pet = metis_file(tmp_path, petersen(), "a/g.graph")
+        c5b = metis_file(tmp_path, cycle(5), "b/g.graph")
+        entries = [
+            {**base, "instance_path": pet, "variants": ["arir2"]},
+            {**base, "instance_path": c5b, "variants": ["arir2"]},
+        ]
+        return entries, 1, 0
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    if case == "shared_variant":
+        entries = [
+            {**base, "instance_path": c5, "variants": ["arir1", "arir2"],
+             "max_blocks": 0},
+            {**base, "instance_path": c5, "variants": ["arir2"], "max_blocks": 5},
+        ]
+        return entries, 1, 0
+    entries = [
+        {**base, "instance_path": c5, "variants": ["arir1"]},
+        {**base, "instance_path": c5, "variants": ["arir2", "arir3", "arir2"]},
+    ]
+    return entries, 1, 1
+
+
+@pytest.mark.parametrize("case", ["same_stem", "shared_variant", "variant_twice"])
+def test_bench_rows_that_would_merge_rejected(tmp_path, monkeypatch, capsys, case):
+    entries, later, earlier = _merging_manifest(tmp_path, case)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    reads = []
+    monkeypatch.setattr(arir.bench, "read_graph", lambda *a, **k: reads.append(a))
+    csv_path = tmp_path / "o.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"entry {later}: " in err and f"merge with entry {earlier}'s" in err, err
+    assert reads == [] and not csv_path.exists()
+
+
+def test_bench_failing_seed_makes_only_its_row_an_error_row(tmp_path, monkeypatch, capsys):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    pet = metis_file(tmp_path, petersen(), "petersen.graph")
+    real_run = arir.bench.run
+
+    def run_failing_seed_2(graph, config):
+        if config.seed == 2:
+            raise RuntimeError("seed 2 failed")
+        return real_run(graph, config)
+
+    monkeypatch.setattr(arir.bench, "run", run_failing_seed_2)
+    base = {"cutoff_s": 5.0, "variants": ["arir2"], "m": 100, "max_blocks": 2}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                {**base, "instance_path": c5, "seeds": [1, 2, 3]},
+                {**base, "instance_path": pet, "seeds": [1, 3]},
+            ]
+        )
+    )
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == "error: c5/arir2: seed 2 failed\n"
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[1] == "c5,arir2,0,,,"
+    assert lines[2].startswith("petersen,arir2,2,4,4.00,")
+    # The rows themselves: formatted cells plus the error, one row per pair.
+    rows = arir.bench.run_bench(arir.bench.load_manifest(str(manifest)))
+    assert rows[0] == {
+        "instance": "c5",
+        "variant": "arir2",
+        "runs": 0,
+        "max": "",
+        "avg": "",
+        "avg_time_to_best_s": "",
+        "error": "seed 2 failed",
+    }
+    assert rows[1]["error"] is None and rows[1]["runs"] == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [{"instance_path": c5, "cutoff_s": 5.0, "variants": ["arir2"],
+              "seeds": [1], "max_blocks": 1}]
+        )
+    )
+    reads = []
+    monkeypatch.setattr(arir.bench, "read_graph", lambda *a, **k: reads.append(a))
+    csv_path = tmp_path / "o.csv"
+    argv = ["bench", "--manifest", str(manifest), "--csv", str(csv_path), "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
+    assert reads == [] and not csv_path.exists()

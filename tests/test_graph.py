@@ -13,10 +13,16 @@ def test_build_path3():
     assert [g.degree(v) for v in range(3)] == [1, 2, 1]
 
 
-def test_build_dedup_and_self_loop():
-    g = build_graph([(0, 1), (1, 0), (0, 0)])
+def test_build_dedup():
+    g = build_graph([(0, 1), (1, 0), (0, 1)])
     assert g.vertex_count == 2
     assert g.edge_count == 1
+
+
+def test_build_rejects_self_loop():
+    # Dropping a loop would let its vertex into a solution.
+    with pytest.raises(ValueError, match="self-loop on vertex 1"):
+        build_graph([(0, 1), (1, 1)])
 
 
 def test_build_empty_without_hint():

@@ -21,7 +21,7 @@ def test_metis_round_trip_random(tmp_path):
     rng = random.Random(5)
     for trial in range(10):
         edges = [(rng.randrange(50), rng.randrange(50)) for _ in range(200)]
-        g = build_graph(edges, vertex_count_hint=50)
+        g = build_graph([(u, v) for u, v in edges if u != v], vertex_count_hint=50)
         target = tmp_path / f"g{trial}.graph"
         write_metis(g, str(target))
         assert read_metis(str(target)) == g
@@ -44,6 +44,11 @@ def test_metis_rejects_bad_header(tmp_path):
     target.write_text("3\n")
     with pytest.raises(ParseError):
         read_metis(str(target))
+    # The header is quoted without its line end, LF or CRLF.
+    for raw in (b"garbage\n", b"garbage\r\n"):
+        target.write_bytes(raw)
+        with pytest.raises(ParseError, match="got 'garbage'$"):
+            read_metis(str(target))
 
 
 def test_metis_rejects_out_of_range_neighbor(tmp_path):

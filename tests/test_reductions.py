@@ -346,6 +346,7 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
         for _ in range(rng.randint(0, 3)):
             a, b, c, x, y = rng.sample(range(n), 5)
             edges += [(x, a), (x, b), (x, c), (y, a), (y, b), (y, c), (a, b)]
+        edges = [(u, v) for u, v in edges if u != v]
         graphs.append(build_graph(edges, vertex_count_hint=n))
     graphs += [gnp(rng.randint(5, 40), rng.uniform(0.05, 0.4), rng) for _ in range(20)]
     # Fires per rule, counted on each side: every rule is exercised, and
@@ -596,7 +597,7 @@ def test_lift_matches_replay_in_write_order(monkeypatch):
         n = rng.randint(6, 70)
         if rng.random() < 0.5:
             edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n // 2)]
-            g = build_graph(edges, vertex_count_hint=n)
+            g = build_graph([(u, v) for u, v in edges if u != v], vertex_count_hint=n)
         else:
             g = gnp(n, rng.uniform(0.03, 0.3), rng)
         cases = []
