@@ -55,6 +55,8 @@ def load_manifest(path: str) -> list[BenchEntry]:
     owners: dict[tuple[str, str], int] = {}  # row label -> entry index
     for i, item in enumerate(raw):
         try:
+            if not isinstance(item, dict):
+                raise TypeError(f"not a JSON object: {json.dumps(item)}")
             if "cutoff_s" not in item:
                 raise TypeError("missing required key 'cutoff_s'")
             settings = {k: item.pop(k) for k in _CONFIG_KEYS if k in item}

@@ -103,6 +103,9 @@ def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
     vertices.
     """
     nbr: list[list[int]] = [[] for _ in range(vertex_count_hint or 0)]
+    # Every list that holds v holds ids[v], one int object per vertex, so
+    # the ints the edge source made are freed as each edge is added.
+    ids = list(range(len(nbr)))
     for u, v in edges:
         if u < 0 or v < 0:
             raise ValueError(f"negative vertex id in edge ({u}, {v})")
@@ -111,8 +114,9 @@ def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
         top = u if u > v else v
         if top >= len(nbr):
             nbr.extend([] for _ in range(top + 1 - len(nbr)))
-        nbr[u].append(v)
-        nbr[v].append(u)
+            ids.extend(range(len(ids), len(nbr)))
+        nbr[u].append(ids[v])
+        nbr[v].append(ids[u])
     if not nbr:
         raise ValueError("empty graph undefined")
     # Replaced in place, so each raw list is freed as its sorted one is made.

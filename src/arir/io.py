@@ -186,11 +186,16 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
     and raises ParseError for any other smallest id, whose base the file
     does not show. A self-loop raises ParseError naming its line; repeated
     edges collapse, since edge lists often give both directions.
+
+    The checked pairs stream into build_graph as the file is read, so no
+    list of them is held.
     """
     check_read_options("edgelist", index_base)
-    pairs: list[tuple[int, int]] = []
+    one_based = str(index_base) == "1"
     min_id = None
-    with open_text(path) as fh:
+
+    def pairs(fh):
+        nonlocal min_id
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped[0] in "#%":
@@ -206,22 +211,30 @@ def read_edgelist(path: str, index_base: str = "auto") -> StaticGraph:
                 raise ParseError(f"{path} line {lineno}: negative id")
             if u == v:
                 raise ParseError(f"{path} line {lineno}: self-loop on vertex {u}")
-            pairs.append((u, v))
             low = min(u, v)
             if min_id is None or low < min_id:
                 min_id = low
-    if not pairs:
-        raise ParseError(f"{path}: empty graph undefined")
+            if one_based:
+                if low == 0:
+                    raise ParseError(
+                        f"{path} line {lineno}: id 0 present in a 1-based edge list"
+                    )
+                u -= 1
+                v -= 1
+            yield u, v
+
+    with open_text(path) as fh:
+        edges = pairs(fh)
+        first = next(edges, None)
+        if first is None:
+            raise ParseError(f"{path}: empty graph undefined")
+        graph = build_graph(chain((first,), edges))
     if index_base == "auto" and min_id != 0:
         raise ParseError(
             f"{path}: smallest vertex id is {min_id}, so the index base is"
             " ambiguous; pass --index-base 0 or 1"
         )
-    if str(index_base) == "1":
-        if min_id == 0:
-            raise ParseError(f"{path}: id 0 present in a 1-based edge list")
-        return build_graph((u - 1, v - 1) for u, v in pairs)
-    return build_graph(pairs)
+    return graph
 
 
 def read_solution(path: str) -> set[int]:

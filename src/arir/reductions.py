@@ -77,8 +77,9 @@ class ReductionLog:
         kernel_lines: list[tuple[int, int, int, str]] = []
         for lineno, line in enumerate(lines, start=1):
             toks = line.split()
-            # An X line (an exclusion record of older logs) lifts to nothing.
-            if not toks or toks[0] in ("#", "X"):
+            # A line whose first non-blank character is # is a comment; an X
+            # line (an exclusion record of older logs) lifts to nothing.
+            if not toks or toks[0][0] == "#" or toks[0] == "X":
                 continue
             tag, args = toks[0], toks[1:]
             if len(args) != _RECORD_IDS.get(tag) or not all(map(str.isdecimal, args)):

@@ -58,7 +58,6 @@ class SolutionState:
         "rng",
         "in_sol",
         "tight",
-        "size",
         "touches",
         "max_iter_touches",
         "rejected",
@@ -77,7 +76,6 @@ class SolutionState:
         self.rng = rng
         self.in_sol = bytearray(n)
         self.tight = [0] * n
-        self.size = 0
         self.touches = 0
         self.max_iter_touches = 0
         # Iterations whose worse solution was undone.
@@ -90,13 +88,17 @@ class SolutionState:
         self._queue: deque[int] = deque()
         self._in_queue = bytearray(n)
 
+    @property
+    def size(self) -> int:
+        """The solution's size: every vertex the free list does not hold."""
+        return self.view.vertex_count - len(self._free)
+
     def solution_set(self) -> set[int]:
         """The solution in working-graph ids."""
         return set(compress(self.view.ids, self.in_sol))
 
     def _insert(self, v: int) -> None:
         self.in_sol[v] = 1
-        self.size += 1
         free = self._free
         pos = self._free_pos
         i = pos[v]
@@ -120,7 +122,6 @@ class SolutionState:
 
     def _remove(self, v: int) -> None:
         self.in_sol[v] = 0
-        self.size -= 1
         free = self._free
         self._free_pos[v] = len(free)
         free.append(v)
@@ -148,7 +149,6 @@ class SolutionState:
         free = self._free
         pos = self._free_pos
         adjacency = self.view.adjacency
-        size = self.size
         while journal:
             v = journal.pop()
             adj = adjacency[v]
@@ -158,7 +158,6 @@ class SolutionState:
                 # the vertex that took its place back to the end.
                 i = journal.pop()
                 in_sol[v] = 0
-                size -= 1
                 for w in adj:
                     tight[w] -= 1
                 end = len(free)
@@ -173,16 +172,14 @@ class SolutionState:
             else:
                 # v was removed, so it is the free list's last entry.
                 in_sol[v] = 1
-                size += 1
                 for w in adj:
                     tight[w] += 1
                 free.pop()
                 pos[v] = -1
-        self.size = size
         self._zero_buf.clear()
         self._one_buf.clear()
 
-    def maintain_maximality(self) -> int:
+    def maintain_maximality(self) -> None:
         """Insert the free 0-tight vertices of the candidate list, lowest id
         first, until none remain. _remove feeds the list with the neighbors
         that drop to 0-tight; the removed vertex itself is left to the
@@ -193,19 +190,10 @@ class SolutionState:
         zero_buf.sort()
         in_sol = self.in_sol
         tight = self.tight
-        inserted = 0
         for v in zero_buf:
-            if in_sol[v] or tight[v]:
-                continue
-            self._insert(v)
-            inserted += 1
+            if not (in_sol[v] or tight[v]):
+                self._insert(v)
         zero_buf.clear()
-        return inserted
-
-    def _enqueue(self, x: int) -> None:
-        if not self._in_queue[x]:
-            self._in_queue[x] = 1
-            self._queue.append(x)
 
     def _drain_one_buf(self) -> None:
         # A vertex that just became 1-tight joins the swap bucket of its sole
@@ -323,8 +311,7 @@ class SolutionState:
         and those within a batch are pairwise non-adjacent. Returns the
         forced vertices; no-op when no free vertex exists.
         """
-        n = self.view.vertex_count
-        if self.size == n:
+        if not self._free:
             return []
         rng = self.rng
         c = 1
@@ -334,7 +321,7 @@ class SolutionState:
         adj = self.view.adjacency
         forced: list[int] = []
         for _ in range(c):
-            if self.size == n:
+            if not self._free:
                 break
             v = self._pick(forced)
             if v is None:
@@ -352,17 +339,12 @@ class SolutionState:
         """Recompute tightness and independence from scratch; raise on breakage."""
         in_sol = self.in_sol
         adj = self.view.adjacency
-        size = 0
         for v in range(self.view.vertex_count):
             t = sum(1 for u in adj[v] if in_sol[u])
-            if in_sol[v]:
-                size += 1
-                if t != 0:
-                    raise AssertionError(f"solution vertex {v} has a solution neighbor")
+            if in_sol[v] and t != 0:
+                raise AssertionError(f"solution vertex {v} has a solution neighbor")
             if self.tight[v] != t:
                 raise AssertionError(f"tight[{v}]={self.tight[v]} != recount {t}")
-        if size != self.size:
-            raise AssertionError(f"size {self.size} != recount {size}")
         free = [v for v in range(self.view.vertex_count) if not in_sol[v]]
         if sorted(self._free) != free:
             raise AssertionError("free list out of sync with the free vertices")
@@ -437,14 +419,14 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
                     buckets[d].append(t)
         deleted.clear()
     # Every vertex is now inserted, deleted (tight) or peeled. Insert the
-    # free peeled ones and queue every solution vertex for the first swap
+    # free peeled ones, then queue every solution vertex for the first swap
     # exhaustion, both in ascending id.
-    for v in range(view.vertex_count):
-        if not in_sol[v]:
-            if tight[v]:
-                continue
+    n = view.vertex_count
+    for v in range(n):
+        if not (in_sol[v] or tight[v]):
             state._insert(v)
-        state._enqueue(v)
+    state._queue.extend(compress(range(n), in_sol))
+    state._in_queue[:] = in_sol
     deleted.clear()
     # The start is no iteration's to undo.
     state._journal.clear()
@@ -463,7 +445,7 @@ def arw_block(state: SolutionState, m: int) -> set[int]:
     state.max_iter_touches."""
     best_mask = bytes(state.in_sol)
     best_size = state.size
-    if m > 0 and state.size < state.view.vertex_count:
+    if m > 0 and state._free:
         state.exhaust_swaps()
         if state.size > best_size:
             best_mask = bytes(state.in_sol)

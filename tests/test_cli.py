@@ -610,6 +610,17 @@ def test_bench_manifest_not_json_names_the_file(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("entry", ["cutoff_s", 5, None, ["cutoff_s"]])
+def test_bench_entry_that_is_not_an_object_rejected(tmp_path, capsys, entry):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([entry]))
+    csv_path = tmp_path / "o.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: entry 0: not a JSON object: {json.dumps(entry)}\n"
+    assert not csv_path.exists()
+
+
 def _merging_manifest(tmp_path, case):
     """A manifest whose two (entry, variant) pairs would share one row label,
     and the indices of the entry that is rejected and of the entry it merges

@@ -680,6 +680,7 @@ def test_kernel_lines_in_any_order_lift_the_same():
         (["K 0 3", "K 2 5"], "line 2 'K 2 5'"),
         (["K 1 3", "K 1 5"], "line 2 'K 1 5'"),
         (["K 0 -3"], "line 1 'K 0 -3'"),
+        (["#fixed=1 folds=0", "  #F x", "Q 1"], "line 3 'Q 1'"),
     ],
 )
 def test_malformed_kernel_log_lines_rejected(lines, where):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import compress
 
 import pytest
 
@@ -42,8 +43,8 @@ def manual_state(g, solution, rng=None):
     state = SolutionState(view, rng or random.Random(0))
     for v in solution if isinstance(solution, list) else sorted(solution):
         state._insert(v)
-    for v in sorted(solution):
-        state._enqueue(v)
+    state._queue.extend(compress(range(view.vertex_count), state.in_sol))
+    state._in_queue[:] = state.in_sol
     state._zero_buf.clear()
     state._one_buf.clear()
     state._journal.clear()
@@ -197,15 +198,16 @@ def test_maintain_maximality_restores_p3():
     state._remove(1)
     state._insert(0)
     assert state.size == 1
-    inserted = state.maintain_maximality()
-    assert inserted == 1
+    state.maintain_maximality()
     assert state.size == 2
     state.audit()
 
 
 def test_maintain_maximality_noop_when_maximal():
     state = fresh_state(cycle(5))
-    assert state.maintain_maximality() == 0
+    size = state.size
+    state.maintain_maximality()
+    assert state.size == size
 
 
 def test_maintain_maximality_random_leaves_no_zero_tight():
@@ -528,9 +530,10 @@ def test_greedy_queue_matches_full_rescan():
             bests = []
             for state, rescan in zip(states, (False, True)):
                 if rescan:
-                    for v in range(state.view.vertex_count):
-                        if state.in_sol[v]:
-                            state._enqueue(v)
+                    n = state.view.vertex_count
+                    state._queue.clear()
+                    state._queue.extend(compress(range(n), state.in_sol))
+                    state._in_queue[:] = state.in_sol
                 bests.append(arw_block(state, 25))
             assert bests[0] == bests[1]
             assert states[0].solution_set() == states[1].solution_set()
