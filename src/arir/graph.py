@@ -85,6 +85,17 @@ def check_solution(
 ) -> None:
     """Raise ContractError unless vertices is independent in graph and, if
     maximal is set, leaves no vertex free."""
+    if maximal:
+        # One pass collects N(S) as a set. S is independent iff the two are
+        # disjoint, and then maximal iff N[S] = N(S) + S covers every
+        # vertex. The finders below run only to name a failure.
+        adjacency = graph.adjacency
+        covered = set(chain.from_iterable(map(adjacency.__getitem__, vertices)))
+        if (
+            covered.isdisjoint(vertices)
+            and len(covered) + len(vertices) == graph.vertex_count
+        ):
+            return
     edge = edge_inside(graph, vertices)
     if edge is not None:
         raise ContractError(f"solution carries edge {edge[0]}-{edge[1]}")
@@ -188,7 +199,8 @@ class WorkingGraph:
             raise ContractError(f"vertex {v} is dead")
         for u in self.alive_neighbors(v) if nbrs is None else nbrs:
             self.kill(u)
-        self.kill(v)
+        # v has no live neighbor left, so it dies without a list walk.
+        self.alive[v] = False
 
     def fold_degree2(self, u: int, nbrs: list[int] | None = None) -> int:
         """Contract degree-2 vertex u and its two non-adjacent neighbors into
@@ -209,21 +221,27 @@ class WorkingGraph:
                     f"neighbors {nbrs[0]},{nbrs[1]} of {u} are adjacent;"
                     " triangle rule applies"
                 )
-        self.kill(u)
         alive = self.alive
         live_degree = self.live_degree
-        touched = self.touched
         adj = self.adj
-        # Kill each merged vertex as kill() would, collecting its live
-        # neighbors in the same pass; u is dead by now, so it is left out.
-        merged = set()
-        for v in nbrs:
-            alive[v] = False
-            for t in adj[v]:
-                if alive[t]:
+        # u's only live neighbors are the merged pair, which die with it, so
+        # only the pair's lists are walked. merged keeps each live neighbor
+        # of the pair once, in first-seen order. Each gains x and loses the
+        # pair members it was adjacent to, so only a neighbor of both
+        # changes degree, by -1.
+        alive[u] = False
+        v, w = nbrs
+        alive[v] = alive[w] = False
+        merged = {}
+        for t in adj[v]:
+            if alive[t]:
+                merged[t] = None
+        for t in adj[w]:
+            if alive[t]:
+                if t in merged:
                     live_degree[t] -= 1
-                    touched.append(t)
-                    merged.add(t)
+                else:
+                    merged[t] = None
         x = len(alive)
         adj_x = sorted(merged)
         adj.append(adj_x)
@@ -231,15 +249,15 @@ class WorkingGraph:
         owned.append(1)
         alive.append(True)
         live_degree.append(len(adj_x))
-        for t in adj_x:
+        for t in merged:
             # x is the largest id so far, so the list stays ascending.
             if owned[t]:
                 adj[t].append(x)
             else:
                 adj[t] = adj[t] + [x]
                 owned[t] = 1
-            live_degree[t] += 1
-            touched.append(t)
+        touched = self.touched
+        touched += merged
         touched.append(x)
         return x
 

@@ -3,10 +3,11 @@
 Three tiers are provided, each a name in TIERS: the light tier (degree-0/1
 and unrestricted degree-2 folding), the simple tier (degree-0/1, triangle,
 chordless quadrilateral, restricted degree-2 folding) used inside search
-rounds, and the advanced tier (the simple tier's rules with unrestricted
-folding, plus domination and twins sharing an edge). The light and advanced
-tiers serve preprocessing. Every rule removes vertices while preserving the
-optimum up to a known offset, recorded in a replayable undo log.
+rounds, and the advanced tier (degree-0/1, triangle and unrestricted
+folding, which also reduces a chordless quadrilateral, plus domination and
+twins sharing an edge). The light and advanced tiers serve preprocessing.
+Every rule removes vertices while preserving the optimum up to a known
+offset, recorded in a replayable undo log.
 """
 
 from __future__ import annotations
@@ -136,15 +137,20 @@ def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     if not W.alive[v] or W.live_degree[v] != 0:
         return False
     log.fixed.append(v)
-    W.kill(v)
+    # No live neighbor is left to update, so v dies without a list walk.
+    W.alive[v] = False
     return True
 
 
 def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     """Fix a degree-1 vertex and delete its closed neighborhood."""
-    if not W.alive[v] or W.live_degree[v] != 1:
+    alive = W.alive
+    if not alive[v] or W.live_degree[v] != 1:
         return False
-    W.delete_closed_neighborhood(v)
+    for u in W.adj[v]:
+        if alive[u]:
+            break
+    W.delete_closed_neighborhood(v, [u])
     log.fixed.append(v)
     return True
 
@@ -181,7 +187,13 @@ def rule_triangle(
 def rule_quadrilateral(
     W: WorkingGraph, u: int, log: ReductionLog, nbrs: list[int] | None = None
 ) -> bool:
-    """Fix both 2-vertices of a chordless 4-cycle; delete all four vertices."""
+    """Fix both 2-vertices of a chordless 4-cycle; delete all four vertices.
+
+    Only the simple tier calls it. Under unrestricted folding it is
+    redundant: folding u leaves its partner at degree 1, and the degree-1
+    rule then removes the partner and the fold's new vertex, so the same
+    four vertices leave at the same offset of 2.
+    """
     if nbrs is None:
         nbrs = _degree2_neighbors(W, u, adjacent=False)
         if nbrs is None:
@@ -345,11 +357,14 @@ def _apply_first(W: WorkingGraph, v: int, tier: str, log: ReductionLog) -> bool:
         W.check_steps += 1
         if W.adjacent(*nbrs):
             return tier != "light" and rule_triangle(W, v, log, nbrs)
-        if tier != "light" and rule_quadrilateral(W, v, log, nbrs):
-            return True
+        # The unrestricted fold covers a chordless quadrilateral (see
+        # rule_quadrilateral); only the simple tier's restricted fold does
+        # not, so only that tier looks for one.
         if tier != "simple":
             return rule_fold2(W, v, log, nbrs=nbrs)
-        if rule_fold2(W, v, log, restricted=True, nbrs=nbrs):
+        if rule_quadrilateral(W, v, log, nbrs) or rule_fold2(
+            W, v, log, restricted=True, nbrs=nbrs
+        ):
             return True
         # A drop of v's degree to 2 can enable a fold centered at a
         # 2-vertex neighbor whose other neighbor already had degree 2.

@@ -211,3 +211,76 @@ def test_fold_with_passed_neighbors_matches_checked_fold():
             for field in WorkingGraph.__slots__:
                 assert getattr(checked, field) == getattr(trusted, field), field
             trusted.audit()
+
+
+def reference_fold(w, u, nbrs):
+    """Reference: the fold that kills u, then each merged vertex, walking
+    all three lists and queueing a neighbor once per list it is on."""
+    w.kill(u)
+    alive, live_degree, touched, adj = w.alive, w.live_degree, w.touched, w.adj
+    merged = set()
+    for v in nbrs:
+        alive[v] = False
+        for t in adj[v]:
+            if alive[t]:
+                live_degree[t] -= 1
+                touched.append(t)
+                merged.add(t)
+    x = len(alive)
+    adj_x = sorted(merged)
+    adj.append(adj_x)
+    w.owned.append(1)
+    alive.append(True)
+    live_degree.append(len(adj_x))
+    for t in adj_x:
+        if w.owned[t]:
+            adj[t].append(x)
+        else:
+            adj[t] = adj[t] + [x]
+            w.owned[t] = 1
+        live_degree[t] += 1
+        touched.append(t)
+    touched.append(x)
+    return x
+
+
+def test_fold_matches_reference_fold():
+    # Random folds and deletions on two copies: the same lists, the same
+    # alive set and live degrees, and the same order of first occurrences of
+    # alive vertices in touched, which is the order the fixpoint queues them.
+    rng = random.Random(29)
+    folds = 0
+    for _ in range(60):
+        g = gnp(rng.randint(6, 50), rng.uniform(0.04, 0.2), rng)
+        new, ref = WorkingGraph(g), WorkingGraph(g)
+        for _ in range(25):
+            candidates = new.alive_vertices()
+            if not candidates:
+                break
+            foldable = [
+                v
+                for v in candidates
+                if new.live_degree[v] == 2 and not new.adjacent(*new.alive_neighbors(v))
+            ]
+            v = rng.choice(foldable if foldable and rng.random() < 0.7 else candidates)
+            nbrs = new.alive_neighbors(v)
+            if len(nbrs) == 2 and not new.adjacent(*nbrs):
+                assert new.fold_degree2(v, list(nbrs)) == reference_fold(ref, v, nbrs)
+                folds += 1
+            elif rng.random() < 0.5:
+                new.delete_closed_neighborhood(v)
+                ref.delete_closed_neighborhood(v)
+            else:
+                new.kill(v)
+                ref.kill(v)
+            assert new.adj == ref.adj and new.alive == ref.alive
+            alive = new.alive
+            assert [d for d, a in zip(new.live_degree, alive) if a] == [
+                d for d, a in zip(ref.live_degree, alive) if a
+            ]
+            first = [dict.fromkeys(t for t in w.touched if alive[t]) for w in (new, ref)]
+            assert list(first[0]) == list(first[1])
+            new.touched.clear()
+            ref.touched.clear()
+            new.audit()
+    assert folds > 200

@@ -33,6 +33,7 @@ from helpers import (
     cycle,
     gnp,
     is_independent,
+    is_maximal,
     path,
     random_maximal,
     random_tree,
@@ -300,9 +301,7 @@ def test_fixpoint_idempotent():
 TIER_RULES = {
     "light": {"zero", "one", "fold"},
     "simple": {"zero", "one", "triangle", "quadrilateral", "fold_restricted"},
-    "advanced": {
-        "zero", "one", "triangle", "quadrilateral", "fold", "domination", "twin_edge"
-    },
+    "advanced": {"zero", "one", "triangle", "fold", "domination", "twin_edge"},
 }
 
 
@@ -387,6 +386,51 @@ def test_degree_gating_matches_ungated_rule_order(monkeypatch):
             assert gated[3] <= reference[3]
     assert fires[sides[0]] == fires[sides[1]]
     assert all(fires[sides[0]].values()), fires
+
+
+def test_advanced_tier_reduces_planted_quadrilaterals(monkeypatch):
+    # Sparse graphs with chordless 4-cycles planted on two fresh 2-vertices
+    # u and w opposite each other, both adjacent to exactly v1 and v2. The
+    # advanced tier folds u and then removes w by the degree-1 rule; a
+    # reference dispatcher that tries the quadrilateral rule first must
+    # reach a kernel of the same size at the same offset.
+    apply_first = reductions._apply_first
+    quadrilaterals = 0
+
+    def quadrilateral_first(W, v, tier, log):
+        nonlocal quadrilaterals
+        if tier == "advanced" and reductions.rule_quadrilateral(W, v, log):
+            quadrilaterals += 1
+            return True
+        return apply_first(W, v, tier, log)
+
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(6, 40)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 2 * n))]
+        g = build_graph([(a, b) for a, b in edges if a != b], vertex_count_hint=n)
+        for _ in range(rng.randint(1, 4)):
+            v1, v2 = rng.sample(range(n), 2)
+            if g.has_edge(v1, v2):
+                continue
+            u, w = n, n + 1
+            edges += [(u, v1), (u, v2), (w, v1), (w, v2)]
+            n += 2
+            g = build_graph([(a, b) for a, b in edges if a != b], vertex_count_hint=n)
+        assert n <= 64
+        result = kernelize(g, "advanced")
+        kernel = result.kernel
+        witness = exact_mis(kernel).witness if kernel.vertex_count else set()
+        offset = result.fixed_count + result.fold_count
+        assert offset + len(witness) == exact_mis(g).alpha
+        lifted = result.extend(witness)
+        assert is_independent(g, lifted) and is_maximal(g, lifted)
+        with monkeypatch.context() as m:
+            m.setattr(reductions, "_apply_first", quadrilateral_first)
+            reference = kernelize(g, "advanced")
+        assert reference.kernel.vertex_count == kernel.vertex_count
+        assert reference.fixed_count + reference.fold_count == offset
+    assert quadrilaterals > 20
 
 
 def test_unknown_tier_rejected():

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 from dataclasses import FrozenInstanceError, replace
 
@@ -499,6 +500,45 @@ def test_verify_final_rejects_an_edge_and_a_free_vertex():
         assert (free is None) == is_maximal(h, sol)
         if free is not None:
             assert free not in sol and sol.isdisjoint(h.adjacency[free])
+
+
+def test_check_solution_matches_brute_force():
+    # The one-pass verdict, and the edge or free vertex each failure names,
+    # against the brute-force oracles on random graphs and random sets.
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(400):
+        h = gnp(rng.randint(1, 14), rng.uniform(0.0, 0.6), rng)
+        sol = {v for v in range(h.vertex_count) if rng.random() < rng.random()}
+        for maximal in (True, False):
+            try:
+                check_solution(h, sol, maximal)
+            except ContractError as error:
+                found = re.fullmatch(
+                    r"solution carries edge (\d+)-(\d+)"
+                    r"|solution is not maximal: vertex (\d+) is free",
+                    str(error),
+                )
+                assert found, str(error)
+                if found[1] is not None:
+                    a, b = int(found[1]), int(found[2])
+                    assert not is_independent(h, sol)
+                    assert {a, b} <= sol and h.has_edge(a, b)
+                    outcomes.add("edge")
+                else:
+                    assert maximal and is_independent(h, sol)
+                    free = [
+                        v
+                        for v in range(h.vertex_count)
+                        if v not in sol and sol.isdisjoint(h.adjacency[v])
+                    ]
+                    assert int(found[3]) == min(free)
+                    outcomes.add("free")
+            else:
+                assert is_independent(h, sol)
+                assert not maximal or is_maximal(h, sol)
+                outcomes.add("pass")
+    assert outcomes == {"edge", "free", "pass"}
 
 
 @pytest.mark.parametrize("variant", ["arir1", "arir2", "arir3", "arw"])
