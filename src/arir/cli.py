@@ -19,19 +19,6 @@ from .solver import VARIANTS, RunConfig, run
 
 log = logging.getLogger("arir")
 
-def _setup_logging() -> None:
-    level = os.environ.get("ARIR_LOG", "off").lower()
-    if level == "off":
-        logging.disable(logging.CRITICAL)
-        return
-    logging.disable(logging.NOTSET)
-    if not log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        log.addHandler(handler)
-    log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
-
-
 class _Unusable(Exception):
     """Input or output a command cannot use: main prints it and exits 2."""
 
@@ -46,6 +33,22 @@ def _as_unusable():
         if isinstance(exc, OSError) and exc.filename:
             exc = f"{exc.filename}: {exc.strerror}"
         raise _Unusable(exc) from None
+
+
+_LOG_LEVELS = {"off": logging.CRITICAL + 1, "info": logging.INFO, "debug": logging.DEBUG}
+
+
+def _setup_logging() -> None:
+    """Set the arir logger, and no other, to ARIR_LOG's level (off if unset)."""
+    value = os.environ.get("ARIR_LOG", "off")
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        raise _Unusable(f"ARIR_LOG must be one of off, info, debug; got {value!r}")
+    log.setLevel(level)
+    if level <= logging.INFO and not log.handlers:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -220,9 +223,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return status

@@ -179,28 +179,36 @@ class WorkingGraph:
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
+    def delete(self, removed, fixed=()) -> None:
+        """Delete the alive vertices of removed and fixed. Each alive neighbor
+        of a removed vertex loses one live degree per removed neighbor and is
+        appended to touched. Every live neighbor of a fixed vertex must be in
+        removed, so a fixed vertex dies without a list walk."""
+        alive = self.alive
+        for v in fixed:
+            alive[v] = False
+        for v in removed:
+            alive[v] = False
+        live_degree = self.live_degree
+        touched = self.touched
+        for v in removed:
+            for u in self.adj[v]:
+                if alive[u]:
+                    live_degree[u] -= 1
+                    touched.append(u)
+
     def kill(self, v: int) -> None:
         """Remove v; decrement surviving neighbors' live degrees."""
         if not self.alive[v]:
             raise ContractError(f"vertex {v} already dead")
-        self.alive[v] = False
-        alive = self.alive
-        live_degree = self.live_degree
-        touched = self.touched
-        for u in self.adj[v]:
-            if alive[u]:
-                live_degree[u] -= 1
-                touched.append(u)
+        self.delete((v,))
 
     def delete_closed_neighborhood(self, v: int, nbrs: list[int] | None = None) -> None:
         """Delete v's alive neighbors (nbrs, if the caller has read them),
         then v."""
         if not self.alive[v]:
             raise ContractError(f"vertex {v} is dead")
-        for u in self.alive_neighbors(v) if nbrs is None else nbrs:
-            self.kill(u)
-        # v has no live neighbor left, so it dies without a list walk.
-        self.alive[v] = False
+        self.delete(self.alive_neighbors(v) if nbrs is None else nbrs, (v,))
 
     def fold_degree2(self, u: int, nbrs: list[int] | None = None) -> int:
         """Contract degree-2 vertex u and its two non-adjacent neighbors into

@@ -137,8 +137,7 @@ def rule_zero_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     if not W.alive[v] or W.live_degree[v] != 0:
         return False
     log.fixed.append(v)
-    # No live neighbor is left to update, so v dies without a list walk.
-    W.alive[v] = False
+    W.delete((), (v,))
     return True
 
 
@@ -150,7 +149,7 @@ def rule_one_vertex(W: WorkingGraph, v: int, log: ReductionLog) -> bool:
     for u in W.adj[v]:
         if alive[u]:
             break
-    W.delete_closed_neighborhood(v, [u])
+    W.delete((u,), (v,))
     log.fixed.append(v)
     return True
 
@@ -180,7 +179,7 @@ def rule_triangle(
         if nbrs is None:
             return False
     log.fixed.append(u)
-    W.delete_closed_neighborhood(u, nbrs)
+    W.delete(nbrs, (u,))
     return True
 
 
@@ -211,8 +210,8 @@ def rule_quadrilateral(
     if partner < 0:
         return False
     log.fixed += (u, partner)
-    W.delete_closed_neighborhood(u, nbrs)
-    W.kill(partner)
+    # The partner's two live neighbors are u's, so it dies without a walk.
+    W.delete(nbrs, (u, partner))
     return True
 
 
@@ -271,7 +270,7 @@ def rule_domination(W: WorkingGraph, v: int, nbrs: list[int] | None = None) -> b
             break
     W.check_steps += steps
     if fired:
-        W.kill(v)
+        W.delete((v,))
     return fired
 
 
@@ -301,7 +300,7 @@ def _dominates_neighbor(W: WorkingGraph, u: int, nbrs: list[int] | None = None) 
                     break
         else:
             W.check_steps += steps
-            W.kill(v)
+            W.delete((v,))
             return True
     W.check_steps += steps
     return False
@@ -334,8 +333,8 @@ def rule_twin_edge(
     if twin < 0:
         return False
     log.fixed += (u, twin)
-    W.delete_closed_neighborhood(u, nbrs)
-    W.kill(twin)
+    # The twin's live neighbors are u's, so it dies without a walk.
+    W.delete(nbrs, (u, twin))
     return True
 
 

@@ -17,8 +17,6 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
 
 from .graph import StaticGraph, WorkingGraph, check_solution
 from .reductions import (
@@ -43,9 +41,9 @@ class RunConfig:
     when the config is made: rounded up to whole blocks of m, and each test
     judges every block of its period. `replace(cfg, m=...)` starts from the
     n already resolved, not from 10 * the new m; pass n too to change it.
-    m, n and max_blocks are ints and cutoff_seconds is an int or a float;
-    max_blocks switches the cutoff from wall-clock seconds to an exact block
-    count (deterministic end-to-end).
+    m and seed are ints, n, max_blocks and target_size ints or None, and
+    cutoff_seconds an int or a float; max_blocks switches the cutoff from
+    wall-clock seconds to an exact block count (deterministic end-to-end).
     target_size stops early once the incumbent reaches it.
     """
 
@@ -60,9 +58,9 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
-        for name in ("m", "n", "max_blocks"):
+        for name in ("m", "seed", "n", "max_blocks", "target_size"):
             value = getattr(self, name)
-            if value is not None and type(value) is not int:
+            if type(value) is not int and (value is not None or name in ("m", "seed")):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -75,6 +73,8 @@ class RunConfig:
             raise ValueError(f"cutoff must be positive, got {self.cutoff_seconds}")
         if self.max_blocks is not None and self.max_blocks < 0:
             raise ValueError(f"max_blocks must be >= 0, got {self.max_blocks}")
+        if self.target_size is not None and self.target_size < 0:
+            raise ValueError(f"target_size must be >= 0, got {self.target_size}")
         object.__setattr__(self, "n", ((n + self.m - 1) // self.m) * self.m)
 
 
@@ -102,21 +102,8 @@ def rir_reduce(
     always starts from the frozen kernel, never from a previous reduction."""
     S = set(intersection) if intersection is not None else set()
     working = WorkingGraph(frozen_kernel)
-    alive = working.alive
-    adj = working.adj
-    # Every vertex of the frozen kernel starts alive, so N[S] is marked dead
-    # in one walk over S's lists; then each survivor loses one degree per
-    # dead neighbour. A dead vertex's degree is never read, and nothing is
-    # queued in `touched`.
-    for v in S:
-        alive[v] = False
-        for u in adj[v]:
-            alive[u] = False
-    live_degree = working.live_degree
-    for d in compress(range(len(alive)), map(not_, alive)):
-        for t in adj[d]:
-            if alive[t]:
-                live_degree[t] -= 1
+    # S is independent, so N(S) is the union of its lists.
+    working.delete(set().union(*map(frozen_kernel.adjacency.__getitem__, S)), S)
     return S, working
 
 

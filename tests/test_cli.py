@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import pytest
 
 import arir.bench
 import arir.cli
-from arir import ReductionLog, RunResult, extend_solution, run
+from arir import ContractError, ReductionLog, RunResult, extend_solution, run
 from arir.cli import main
 from arir.io import write_metis, write_solution
 from helpers import (
@@ -165,6 +167,74 @@ def test_solve_prints_the_run_stats(tmp_path, monkeypatch, capsys):
     record = json.loads(capsys.readouterr().out)
     assert list(record) == ["instance", *results[0].stats]
     assert record == {"instance": "c9", **results[0].stats}
+
+
+def test_solve_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
+    graph_path = metis_file(tmp_path, cycle(5), "c5.graph")
+    sol_path = tmp_path / "c5.sol"
+
+    def failing_run(graph, config):
+        raise ContractError("solution carries edge 0-1")
+
+    monkeypatch.setattr(arir.cli, "run", failing_run)
+    rc = main(["solve", "--input", graph_path, "--emit-solution", str(sol_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == "verification failed: solution carries edge 0-1\n"
+    assert captured.out == ""
+    assert not sol_path.exists()
+
+
+def _solve_in_subprocess(graph_path, arir_log):
+    env = {**os.environ, "PYTHONPATH": str(Path(arir.cli.__file__).parents[1])}
+    env.pop("ARIR_LOG", None)
+    if arir_log is not None:
+        env["ARIR_LOG"] = arir_log
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from arir.cli import main; "
+         "sys.exit(main())", "solve", "--input", graph_path, "--max-blocks", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_arir_log_info_goes_to_stderr_only(tmp_path):
+    graph_path = metis_file(tmp_path, petersen(), "petersen.graph")
+    quiet = _solve_in_subprocess(graph_path, None)
+    loud = _solve_in_subprocess(graph_path, "info")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert "kernel:" in loud.stderr
+    records = [json.loads(done.stdout) for done in (quiet, loud)]
+    for record in records:
+        record.pop("time_to_best_s")
+    assert records[0] == records[1]
+
+
+def test_arir_log_off_leaves_other_loggers_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ARIR_LOG", raising=False)
+    host = logging.getLogger("host")
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    host.addHandler(handler)
+    try:
+        assert main(["oracle", "--input", metis_file(tmp_path, cycle(4), "c4.graph")]) == 0
+        capsys.readouterr()
+        host.warning("still heard")
+    finally:
+        host.removeHandler(handler)
+    assert stream.getvalue() == "still heard\n"
+    assert logging.root.manager.disable == logging.NOTSET
+
+
+def test_arir_log_bogus_value_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ARIR_LOG", "verbose")
+    assert main(["oracle", "--input", metis_file(tmp_path, cycle(4), "c4.graph")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ARIR_LOG must be one of off, info, debug")
 
 
 def test_verify_cases(tmp_path, capsys):

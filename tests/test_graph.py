@@ -284,3 +284,58 @@ def test_fold_matches_reference_fold():
             ref.touched.clear()
             new.audit()
     assert folds > 200
+
+
+def reference_delete(w, removed, fixed):
+    """Reference: one kill per vertex, the removed ones first, in order;
+    each marks its vertex dead and walks its whole list."""
+    alive, live_degree, touched = w.alive, w.live_degree, w.touched
+    for v in [*removed, *fixed]:
+        alive[v] = False
+        for u in w.adj[v]:
+            if alive[u]:
+                live_degree[u] -= 1
+                touched.append(u)
+
+
+def test_delete_matches_sequential_kills():
+    # delete against one kill per vertex on two copies: the same alive set
+    # and live degrees, and the same order of first occurrences of alive
+    # vertices in touched, which is the order the fixpoint queues them.
+    rng = random.Random(30)
+    fixed_total = 0
+    for _ in range(80):
+        g = gnp(rng.randint(2, 60), rng.uniform(0.03, 0.25), rng)
+        new, ref = WorkingGraph(g), WorkingGraph(g)
+        for _ in range(6):
+            alive = new.alive_vertices()
+            if not alive:
+                break
+            # The neighbourhoods of a few centres, so some vertices have
+            # every live neighbour in removed, plus a random sprinkle.
+            dead = {v for v in alive if rng.random() < 0.1}
+            for c in rng.sample(alive, min(len(alive), rng.randint(0, 3))):
+                dead.update(new.alive_neighbors(c))
+            removed = list(dead)
+            rng.shuffle(removed)
+            fixed = [
+                v
+                for v in alive
+                if v not in dead
+                and dead.issuperset(new.alive_neighbors(v))
+                and rng.random() < 0.7
+            ]
+            fixed_total += len(fixed)
+            new.delete(removed, fixed)
+            reference_delete(ref, removed, fixed)
+            assert new.alive == ref.alive
+            alive = new.alive
+            assert [d for d, a in zip(new.live_degree, alive) if a] == [
+                d for d, a in zip(ref.live_degree, alive) if a
+            ]
+            first = [dict.fromkeys(t for t in w.touched if alive[t]) for w in (new, ref)]
+            assert list(first[0]) == list(first[1])
+            new.touched.clear()
+            ref.touched.clear()
+            new.audit()
+    assert fixed_total > 200

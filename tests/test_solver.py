@@ -288,6 +288,39 @@ def test_rir_reduce_c5():
     assert working.alive_vertices() == [2, 3]
 
 
+def reference_rir_reduce(frozen_kernel, S):
+    """Reference: mark N[S] dead in one walk over S's lists, then lower each
+    survivor's degree once per dead neighbour."""
+    working = WorkingGraph(frozen_kernel)
+    alive, adj, live_degree = working.alive, working.adj, working.live_degree
+    for v in S:
+        alive[v] = False
+        for u in adj[v]:
+            alive[u] = False
+    for d in range(len(alive)):
+        if not alive[d]:
+            for t in adj[d]:
+                if alive[t]:
+                    live_degree[t] -= 1
+    return working
+
+
+def test_rir_reduce_matches_reference():
+    rng = random.Random(30)
+    for _ in range(60):
+        g = gnp(rng.randint(2, 60), rng.uniform(0.03, 0.3), rng)
+        S = {v for v in random_maximal(g, rng) if rng.random() < 0.5}
+        fixed, working = rir_reduce(g, S)
+        ref = reference_rir_reduce(g, S)
+        assert fixed == S
+        assert working.alive == ref.alive
+        alive = working.alive
+        assert [d for d, a in zip(working.live_degree, alive) if a] == [
+            d for d, a in zip(ref.live_degree, alive) if a
+        ]
+        working.audit()
+
+
 def test_rir_reduce_composite_independent():
     rng = random.Random(14)
     for trial in range(30):
@@ -644,6 +677,25 @@ def test_config_validation():
         cfg.m = 1
     assert replace(cfg, variant="arir3").n == 21
     assert replace(cfg, m=5).n == 25
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # None would seed from the OS, so the run could not be reproduced.
+        ("seed", None, "seed must be an int"),
+        ("seed", [1], "seed must be an int"),
+        ("seed", True, "seed must be an int"),
+        ("seed", 1.0, "seed must be an int"),
+        ("target_size", "5", "target_size must be an int"),
+        ("target_size", 2.5, "target_size must be an int"),
+        ("target_size", False, "target_size must be an int"),
+        ("target_size", -1, "target_size must be >= 0"),
+    ],
+)
+def test_config_rejects_bad_seed_and_target_size(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{field: value})
 
 
 def test_run_global_best_survives_restarts():
