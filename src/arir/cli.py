@@ -45,10 +45,15 @@ def _setup_logging() -> None:
     if level is None:
         raise _Unusable(f"ARIR_LOG must be one of off, info, debug; got {value!r}")
     log.setLevel(level)
-    if level <= logging.INFO and not log.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        log.addHandler(handler)
+    if level <= logging.INFO:
+        if not log.handlers:
+            handler = logging.StreamHandler()
+            handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+            log.addHandler(handler)
+        # Each call logs to the sys.stderr of its own time. The stream is set
+        # directly: setStream would flush the old one, which raises once it
+        # is closed, and every record is flushed as it is written anyway.
+        log.handlers[0].stream = sys.stderr
 
 
 def _check_writable(*paths: str | None) -> None:

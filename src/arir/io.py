@@ -7,7 +7,7 @@ import os
 from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain
 from typing import TextIO
 
 from .graph import StaticGraph, build_graph
@@ -80,25 +80,30 @@ def read_graph(path: str, fmt: str = "auto", index_base: str = "auto") -> Static
 
 def read_metis(path: str) -> StaticGraph:
     """Read a Metis-format graph: header "n m", then line i lists the
-    (1-based) neighbors of vertex i in any order. '%' comment lines are
-    skipped. The file is read in one pass.
+    (1-based) neighbors of vertex i in any order. A line whose first
+    non-blank character is '%' is a comment, wherever it sits. The file is
+    read in one pass.
 
     Every edge must be listed from both ends exactly once (no line repeats
     an entry or lists its own vertex), and m must be the edge count. Missing
-    trailing lines are isolated vertices; only blank lines may follow the
-    n-th vertex line. Errors name lines as they are numbered in the file.
+    trailing lines are isolated vertices; only blank lines and comments may
+    follow the n-th vertex line. Errors name lines as they are numbered in
+    the file.
     """
     with open_text(path) as fh:
-        lines = (
-            (no, ln) for no, ln in enumerate(fh, 1) if not ln.lstrip().startswith("%")
-        )
-        first = next(lines, None)
-        if first is None:
+        # skipped counts the header and the comments read so far, so vertex
+        # i's line is the file's line skipped + i + 1.
+        skipped = 0
+        for first in fh:
+            skipped += 1
+            if not first.lstrip().startswith("%"):
+                break
+        else:
             raise ParseError(f"{path}: empty metis file")
-        header = first[1].split()
+        header = first.split()
         if len(header) < 2:
             raise ParseError(
-                f"{path}: metis header needs 'n m', got {first[1].rstrip()!r}"
+                f"{path}: metis header needs 'n m', got {first.rstrip()!r}"
             )
         n = _parse_id(header[0], f"{path} header")
         m = _parse_id(header[1], f"{path} header")
@@ -110,28 +115,42 @@ def read_metis(path: str) -> StaticGraph:
         # i is read it holds exactly the listers below i, which must be the
         # line's own entries below i; so every edge is checked from both ends.
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        # A missing trailing line reads as an empty one: an isolated vertex.
-        padded = chain(lines, repeat((None, "")))
-        for i, (no, line) in zip(range(n), padded):
-            toks = line.split()
-            try:
-                row = sorted([int(t) - 1 for t in toks])
-            except ValueError:
-                row = None
-            if (
-                row is None
-                or (row and (row[0] < 0 or row[-1] >= n))
-                or i in row
-                or len(set(row)) != len(row)
-            ):
-                _reject_metis_line(toks, i, n, f"{path} line {no}")
-            below = row[: bisect_left(row, i)]
-            if adjacency[i] != below:
-                _reject_unpaired(path, i, below, adjacency[i])
-            for u in row:
-                adjacency[u].append(i)
-        for no, line in lines:
-            if line.strip():
+        i = 0
+        if n:
+            for line in fh:
+                toks = line.split()
+                try:
+                    row = [int(t) - 1 for t in toks]
+                except ValueError:
+                    # Only a non-blank line fails, so toks[0] exists.
+                    if toks[0][0] == "%":
+                        skipped += 1
+                        continue
+                    _reject_metis_line(toks, i, n, f"{path} line {skipped + i + 1}")
+                row.sort()
+                k = len(row)
+                j = bisect_left(row, i)
+                if (
+                    (k and (row[0] < 0 or row[-1] >= n))
+                    or (j < k and row[j] == i)
+                    or len(set(row)) != k
+                ):
+                    _reject_metis_line(toks, i, n, f"{path} line {skipped + i + 1}")
+                if adjacency[i] != row[:j]:
+                    _reject_unpaired(path, i, row[:j], adjacency[i])
+                for u in row:
+                    adjacency[u].append(i)
+                i += 1
+                if i == n:
+                    break
+        # A missing trailing line reads as an empty one: an isolated vertex,
+        # which no line may list.
+        for v in range(i, n):
+            if adjacency[v]:
+                _reject_unpaired(path, v, [], adjacency[v])
+        for no, line in enumerate(fh, skipped + n + 1):
+            text = line.lstrip()
+            if text and text[0] != "%":
                 raise ParseError(f"{path} line {no}: text after the {n} vertex lines")
     graph = StaticGraph(adjacency)
     if graph.edge_count != m:

@@ -104,6 +104,9 @@ def rir_reduce(
     working = WorkingGraph(frozen_kernel)
     # S is independent, so N(S) is the union of its lists.
     working.delete(set().union(*map(frozen_kernel.adjacency.__getitem__, S)), S)
+    # Nothing reads which vertices the deletion touched: the in-round
+    # fixpoint starts from every vertex.
+    working.touched.clear()
     return S, working
 
 

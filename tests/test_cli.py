@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import logging
@@ -211,6 +212,27 @@ def test_arir_log_info_goes_to_stderr_only(tmp_path):
     for record in records:
         record.pop("time_to_best_s")
     assert records[0] == records[1]
+
+
+def test_arir_log_info_follows_the_current_stderr(tmp_path, monkeypatch):
+    monkeypatch.setenv("ARIR_LOG", "info")
+    graph_path = metis_file(tmp_path, petersen(), "petersen.graph")
+    argv = ["solve", "--input", graph_path, "--max-blocks", "1"]
+
+    def solve_logging_to(stream):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stream):
+            assert main(argv) == 0
+
+    buffers = [io.StringIO(), io.StringIO()]
+    for buffer in buffers:
+        solve_logging_to(buffer)
+    assert [buffer.getvalue().count("kernel:") for buffer in buffers] == [1, 1]
+    # A call after the previous call's stream was closed still logs.
+    closed = io.TextIOWrapper(io.BytesIO())
+    solve_logging_to(closed)
+    closed.close()
+    solve_logging_to(buffers[0])
+    assert buffers[0].getvalue().count("kernel:") == 2
 
 
 def test_arir_log_off_leaves_other_loggers_alone(tmp_path, monkeypatch, capsys):

@@ -89,6 +89,18 @@ def test_metis_names_file_lines_and_rejects_extra_lines(tmp_path):
         "extra_after_blank": ("1 0\n\n\n5\n", "line 4: text after the 1 vertex lines"),
         "comment_between_lines": ("3 2\n2\n% c\n1 1\n\n", "line 4: neighbor 1 listed twice"),
         "self_on_last_line": ("3 1\n2\n1\n3\n", "line 4: vertex 3 lists itself"),
+        # Comments before and among the vertex lines move every later line.
+        "extra_after_comments": (
+            "2 1\n% c\n2\n  % d\n1\n3\n",
+            "line 6: text after the 2 vertex lines",
+        ),
+        "bad_token_after_comment": ("2 1\n% c\nx\n1\n", "line 3: expected integer, got 'x'"),
+        "self_after_comments": (
+            "% h\n% h2\n3 1\n2\n% c\n1\n3\n",
+            "line 7: vertex 3 lists itself",
+        ),
+        # A '%' after a vertex's first entry starts no comment.
+        "percent_inside_line": ("2 1\n2 %x\n1\n", "line 2: expected integer, got '%x'"),
     }
     for name, (text, message) in cases.items():
         target = tmp_path / f"{name}.graph"
@@ -100,6 +112,23 @@ def test_metis_names_file_lines_and_rejects_extra_lines(tmp_path):
     target.write_text("2 1\n2\n1\n\n  \n% end\n\n")
     g = read_metis(str(target))
     assert g.vertex_count == 2 and g.has_edge(0, 1)
+
+
+def test_metis_round_trip_with_comments_among_lines(tmp_path):
+    rng = random.Random(11)
+    for trial in range(10):
+        g = gnp(30, 0.15, rng)
+        plain = tmp_path / f"plain{trial}.graph"
+        write_metis(g, str(plain))
+        lines = plain.read_text().splitlines()
+        for _ in range(rng.randrange(1, 6)):
+            # Anywhere after the header, indented or not.
+            at = rng.randrange(1, len(lines) + 1)
+            lines.insert(at, rng.choice(["% c", "%c", "  % indented", "\t%"]))
+        end = "\r\n" if trial % 2 else "\n"
+        target = tmp_path / f"commented{trial}.graph"
+        target.write_bytes(end.join(lines + [""]).encode())
+        assert read_metis(str(target)) == g
 
 
 def test_metis_reads_unsorted_lines_and_crlf(tmp_path):

@@ -314,6 +314,7 @@ def test_rir_reduce_matches_reference():
         ref = reference_rir_reduce(g, S)
         assert fixed == S
         assert working.alive == ref.alive
+        assert working.touched == []
         alive = working.alive
         assert [d for d, a in zip(working.live_degree, alive) if a] == [
             d for d, a in zip(ref.live_degree, alive) if a
