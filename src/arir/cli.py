@@ -68,6 +68,18 @@ def _check_writable(*paths: str | None) -> None:
                 os.remove(path)
 
 
+def _check_distinct(inputs, outputs) -> None:
+    """Raise _Unusable if an output resolves to the same path as an input or
+    as another output, so no command overwrites what it reads or writes two
+    outputs into one file."""
+    owners = {os.path.realpath(path): f"input {path}" for path in inputs}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in owners:
+            raise _Unusable(f"{path}: output is the same file as {owners[real]}")
+        owners[real] = f"output {path}"
+
+
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=GRAPH_FORMATS, default="auto")
     parser.add_argument("--index-base", choices=INDEX_BASES, default="auto")
@@ -133,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
+    _check_distinct([args.input], [args.emit_solution])
     with _as_unusable():
         config = RunConfig(
             variant=args.variant,
@@ -162,6 +175,8 @@ def cmd_bench(args) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         entries = load_manifest(args.manifest)
+    instances = [entry.instance_path for entry in entries]
+    _check_distinct([args.manifest, *instances], [args.csv])
     _check_writable(args.csv)
     rows = run_bench(entries, jobs=args.jobs)
     with _as_unusable():
@@ -190,11 +205,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    with _as_unusable():
-        graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
     stem = os.path.splitext(args.input)[0]
     kernel_path = args.kernel_out or f"{stem}.kernel.graph"
     log_path = args.log_out or f"{stem}.kernel.log"
+    _check_distinct([args.input], [kernel_path, log_path])
+    with _as_unusable():
+        graph = read_graph(args.input, fmt=args.format, index_base=args.index_base)
     _check_writable(kernel_path, log_path)
     result = kernelize(graph, args.ruleset)
     with _as_unusable():

@@ -8,7 +8,8 @@ from itertools import chain, compress
 
 
 class ContractError(RuntimeError):
-    """An operation was invoked outside its stated precondition."""
+    """A solution failed its check: check_solution raises it for a set that
+    is not independent, or not maximal when maximality is asked for."""
 
 
 class StaticGraph:
@@ -197,38 +198,11 @@ class WorkingGraph:
                     live_degree[u] -= 1
                     touched.append(u)
 
-    def kill(self, v: int) -> None:
-        """Remove v; decrement surviving neighbors' live degrees."""
-        if not self.alive[v]:
-            raise ContractError(f"vertex {v} already dead")
-        self.delete((v,))
-
-    def delete_closed_neighborhood(self, v: int, nbrs: list[int] | None = None) -> None:
-        """Delete v's alive neighbors (nbrs, if the caller has read them),
-        then v."""
-        if not self.alive[v]:
-            raise ContractError(f"vertex {v} is dead")
-        self.delete(self.alive_neighbors(v) if nbrs is None else nbrs, (v,))
-
-    def fold_degree2(self, u: int, nbrs: list[int] | None = None) -> int:
-        """Contract degree-2 vertex u and its two non-adjacent neighbors into
-        a fresh vertex adjacent to the union of their other neighbors; return
-        the fresh vertex's id.
-
-        A caller that has read u's live neighbors and found them non-adjacent
-        passes them as nbrs, and the contract is not checked again.
-        """
-        if nbrs is None:
-            if not self.alive[u]:
-                raise ContractError(f"vertex {u} is dead")
-            nbrs = self.alive_neighbors(u)
-            if len(nbrs) != 2:
-                raise ContractError(f"vertex {u} has live degree {len(nbrs)}, need 2")
-            if self.adjacent(*nbrs):
-                raise ContractError(
-                    f"neighbors {nbrs[0]},{nbrs[1]} of {u} are adjacent;"
-                    " triangle rule applies"
-                )
+    def fold_degree2(self, u: int, nbrs: list[int]) -> int:
+        """Contract degree-2 vertex u and its two non-adjacent live
+        neighbors nbrs, which the caller has read, into a fresh vertex
+        adjacent to the union of their other neighbors; return the fresh
+        vertex's id."""
         alive = self.alive
         live_degree = self.live_degree
         adj = self.adj

@@ -43,8 +43,8 @@ class SolutionState:
     are the view's compact ids. Single-owner, single-threaded.
 
     The free list is positional: _free holds every vertex outside the
-    solution, in no particular order, and _free_pos[v] is v's index in it
-    while v is free and -1 while v is in the solution. _remove appends and
+    solution, in no particular order, and _free_pos holds the index of each
+    free vertex only; in_sol alone records membership. _remove appends and
     _insert swap-removes, so both are O(1), and so is a uniform draw.
 
     Each _insert journals the free-list index it vacated, then the vertex;
@@ -106,7 +106,6 @@ class SolutionState:
         if last != v:
             free[i] = last
             pos[last] = i
-        pos[v] = -1
         journal = self._journal
         journal.append(i)
         journal.append(v)
@@ -175,7 +174,6 @@ class SolutionState:
                 for w in adj:
                     tight[w] += 1
                 free.pop()
-                pos[v] = -1
         self._zero_buf.clear()
         self._one_buf.clear()
 
@@ -227,8 +225,7 @@ class SolutionState:
         candidate without a partner is adjacent to every other member, so its
         bucket scan costs no more than its degree, and the whole probe costs
         O(d(x) + sum of bucket degrees), which keeps a full sweep within
-        O(edge count). A two-member bucket is settled by one membership test
-        on the first member's list, counted as the general path counts it.
+        O(edge count).
         """
         adj = self.view.adjacency
         adj_x = adj[x]
@@ -239,17 +236,8 @@ class SolutionState:
         for u in adj_x:
             if tight[u] == 1:
                 bucket.append(u)
-        size = len(bucket)
-        if size < 2:
+        if len(bucket) < 2:
             return None
-        if size == 2:
-            u, w = bucket
-            adj_u = adj[u]
-            if w in adj_u:
-                self.touches += len(adj_u) + len(adj[w])
-                return None
-            self.touches += len(adj_u)
-            return (u, w)
         for u in bucket:
             adj_u = adj[u]
             self.touches += len(adj_u)
@@ -351,8 +339,6 @@ class SolutionState:
         pos = self._free_pos
         if any(pos[v] != i for i, v in enumerate(self._free)):
             raise AssertionError("free-list position out of sync")
-        if any(pos[v] != -1 for v in compress(range(len(pos)), in_sol)):
-            raise AssertionError("solution vertex with a free-list position")
 
 
 def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
@@ -397,18 +383,15 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
             v, d = buckets[high].pop(), high
         if tight[v] or deg[v] != d:
             continue
-        # Inserted and peeled vertices are marked by degree -1.
-        deg[v] = -1
         if d > 1:
             # Peel v: it leaves the graph without joining the solution.
-            for t in adj[v]:
-                if deg[t] >= 0 and not tight[t]:
-                    d = deg[t] - 1
-                    deg[t] = d
-                    buckets[d].append(t)
-            continue
-        state._insert(v)
-        for u in deleted:
+            lowered = (v,)
+        else:
+            # Marked first, so that v's deleted neighbours skip it.
+            deg[v] = -1
+            state._insert(v)
+            lowered = deleted
+        for u in lowered:
             # A peeled neighbour lowered its neighbours' degrees when peeled.
             if deg[u] < 0:
                 continue
@@ -418,6 +401,8 @@ def greedy_init(view: LiveView, rng: random.Random) -> SolutionState:
                     deg[t] = d
                     buckets[d].append(t)
         deleted.clear()
+        # Inserted and peeled vertices are marked by degree -1.
+        deg[v] = -1
     # Every vertex is now inserted, deleted (tight) or peeled. Insert the
     # free peeled ones, then queue every solution vertex for the first swap
     # exhaustion, both in ascending id.

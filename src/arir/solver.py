@@ -14,6 +14,7 @@ frozen kernel, and search starts fresh on the remainder.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -42,8 +43,9 @@ class RunConfig:
     judges every block of its period. `replace(cfg, m=...)` starts from the
     n already resolved, not from 10 * the new m; pass n too to change it.
     m and seed are ints, n, max_blocks and target_size ints or None, and
-    cutoff_seconds an int or a float; max_blocks switches the cutoff from
-    wall-clock seconds to an exact block count (deterministic end-to-end).
+    cutoff_seconds an int or a float, finite and positive unless max_blocks
+    is set; max_blocks switches the cutoff from wall-clock seconds to an
+    exact block count (deterministic end-to-end).
     target_size stops early once the incumbent reaches it.
     """
 
@@ -69,8 +71,12 @@ class RunConfig:
             raise ValueError(f"n must be >= 1, got {n}")
         if type(self.cutoff_seconds) not in (int, float):
             raise ValueError(f"cutoff must be a number, got {self.cutoff_seconds!r}")
-        if self.max_blocks is None and not self.cutoff_seconds > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff_seconds}")
+        if self.max_blocks is None and not (
+            math.isfinite(self.cutoff_seconds) and self.cutoff_seconds > 0
+        ):
+            raise ValueError(
+                f"cutoff must be finite and positive, got {self.cutoff_seconds}"
+            )
         if self.max_blocks is not None and self.max_blocks < 0:
             raise ValueError(f"max_blocks must be >= 0, got {self.max_blocks}")
         if self.target_size is not None and self.target_size < 0:

@@ -817,3 +817,121 @@ def test_bench_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
     err = capsys.readouterr().err
     assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
     assert reads == [] and not csv_path.exists()
+
+
+def test_solve_infinite_time_limit_exits_2(tmp_path, capsys):
+    # A run without max_blocks ends only at its cutoff, so inf never returns.
+    graph_path = metis_file(tmp_path, path(3), "p3.graph")
+    for limit in ("inf", "nan"):
+        assert main(["solve", "--input", graph_path, "--time-limit", limit]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cutoff must be finite and positive")
+        assert captured.out == ""
+
+
+def test_bench_infinite_cutoff_rejected_naming_its_entry(tmp_path, monkeypatch, capsys):
+    graph_path = metis_file(tmp_path, path(3), "p3.graph")
+    manifest = tmp_path / "manifest.json"
+    entry = {"instance_path": graph_path, "variants": ["arir2"], "seeds": [1]}
+    text = json.dumps([{**entry, "cutoff_s": 5}, {**entry, "cutoff_s": "big"}])
+    # 1e999 is valid JSON and loads as inf.
+    manifest.write_text(text.replace('"big"', "1e999"))
+    started = []
+    monkeypatch.setattr(arir.cli, "run_bench", lambda *a, **k: started.append(1))
+    csv_path = tmp_path / "o.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: entry 1: cutoff must be finite and positive, got inf\n"
+    assert started == [] and not csv_path.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["solve-input", "kernel-input", "kernel-log", "csv-manifest", "csv-instance"]
+)
+def test_output_on_an_input_or_another_output_exits_2(tmp_path, monkeypatch, capsys, case):
+    graph_path = metis_file(tmp_path, cycle(5), "c5.graph")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [{"instance_path": graph_path, "cutoff_s": 5.0, "variants": ["arir2"],
+              "seeds": [1], "max_blocks": 1}]
+        )
+    )
+    # The same file under another spelling of its path.
+    alias = str(tmp_path / "sub" / ".." / "c5.graph")
+    (tmp_path / "sub").mkdir()
+    started = []
+    for name in ("run", "run_bench", "kernelize", "read_graph"):
+        monkeypatch.setattr(arir.cli, name, lambda *a, name=name, **k: started.append(name))
+    argv, clash = {
+        "solve-input": (["solve", "--input", graph_path, "--emit-solution", alias], alias),
+        "kernel-input": (["kernelize", "--input", graph_path, "--kernel-out", alias], alias),
+        "kernel-log": (
+            ["kernelize", "--input", graph_path, "--kernel-out", "out.x", "--log-out", "out.x"],
+            "out.x",
+        ),
+        "csv-manifest": (["bench", "--manifest", str(manifest), "--csv", str(manifest)],
+                         str(manifest)),
+        "csv-instance": (["bench", "--manifest", str(manifest), "--csv", alias], alias),
+    }[case]
+    monkeypatch.chdir(tmp_path)
+    inputs = {p: p.read_bytes() for p in (Path(graph_path), manifest)}
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {clash}: output is the same file as ")
+    assert captured.out == ""
+    assert started == []
+    assert sorted(os.listdir(tmp_path)) == before
+    assert all(p.read_bytes() == data for p, data in inputs.items())
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("comments.graph", "% only\n% comments\n", "{path}: empty metis file"),
+        ("weighted.graph", "3 2 1\n2\n1 3\n2\n", "{path}: weighted metis format 1 unsupported"),
+        ("negative.graph", "-3 0\n", "{path}: negative vertex count -3"),
+        ("negative.edges", "-1 2\n", "{path} line 1: negative id"),
+        ("comments.edges", "# only\n% comments\n", "{path}: empty graph undefined"),
+    ],
+)
+def test_unreadable_graph_exits_2_naming_the_fault(tmp_path, capsys, name, text, message):
+    target = tmp_path / name
+    target.write_text(text)
+    assert main(["oracle", "--input", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path=target)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (None, "manifest must be a JSON list"),
+        ("cutoff_s", "entry 0: missing required key 'cutoff_s'"),
+        ({"variants": []}, "entry 0: variants must be a non-empty list"),
+        ({"instance_path": "gone.graph"}, "entry 0: instance gone.graph not found"),
+    ],
+)
+def test_bad_manifest_exits_2_naming_the_fault(tmp_path, monkeypatch, capsys, change, message):
+    graph_path = metis_file(tmp_path, path(3), "p3.graph")
+    entry = {"instance_path": graph_path, "cutoff_s": 5.0, "variants": ["arir2"],
+             "seeds": [1], "max_blocks": 1}
+    if change is None:
+        raw = {}
+    elif isinstance(change, str):
+        del entry[change]
+        raw = [entry]
+    else:
+        raw = [{**entry, **change}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(raw))
+    started = []
+    monkeypatch.setattr(arir.cli, "run_bench", lambda *a, **k: started.append(1))
+    monkeypatch.chdir(tmp_path)
+    csv_path = tmp_path / "o.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {manifest}: {message}\n"
+    assert captured.out == "" and started == [] and not csv_path.exists()

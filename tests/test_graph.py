@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from arir import ContractError, WorkingGraph, build_graph
+from arir import WorkingGraph, build_graph
 from helpers import cycle, gnp, path, star
 
 
@@ -49,7 +49,7 @@ def test_static_audit_random():
 
 def test_delete_closed_neighborhood_c5():
     w = WorkingGraph(cycle(5))
-    w.delete_closed_neighborhood(0)
+    w.delete(w.alive_neighbors(0), (0,))
     assert [v for v in range(5) if not w.alive[v]] == [0, 1, 4]
     assert w.alive_vertices() == [2, 3]
     assert w.live_degree[2] == 1 and w.live_degree[3] == 1
@@ -57,15 +57,8 @@ def test_delete_closed_neighborhood_c5():
 
 def test_delete_closed_neighborhood_star():
     w = WorkingGraph(star(4))
-    w.delete_closed_neighborhood(0)
+    w.delete(w.alive_neighbors(0), (0,))
     assert not any(w.alive)
-
-
-def test_delete_dead_vertex_rejected():
-    w = WorkingGraph(path(3))
-    w.kill(0)
-    with pytest.raises(ContractError):
-        w.delete_closed_neighborhood(0)
 
 
 def test_delete_updates_degrees_like_recount():
@@ -76,20 +69,20 @@ def test_delete_updates_degrees_like_recount():
     rng.shuffle(order)
     for v in order[:25]:
         if w.alive[v]:
-            w.delete_closed_neighborhood(v)
+            w.delete(w.alive_neighbors(v), (v,))
             w.audit()  # recomputes live_degree from scratch
 
 
 def test_fold_p3_to_isolated():
     w = WorkingGraph(path(3))
-    assert w.fold_degree2(1) == 3
+    assert w.fold_degree2(1, w.alive_neighbors(1)) == 3
     assert sum(w.alive) == 1
     assert w.live_degree[3] == 0
 
 
 def test_fold_c5_gives_triangle():
     w = WorkingGraph(cycle(5))
-    x = w.fold_degree2(0)
+    x = w.fold_degree2(0, w.alive_neighbors(0))
     assert w.alive_vertices() == [2, 3, x]
     assert w.adjacent(x, 2) and w.adjacent(x, 3) and w.adjacent(2, 3)
     assert w.live_degree[x] == 2
@@ -97,32 +90,23 @@ def test_fold_c5_gives_triangle():
 
 def test_fold_p5_middle_gives_p3():
     w = WorkingGraph(path(5))
-    x = w.fold_degree2(2)
+    x = w.fold_degree2(2, w.alive_neighbors(2))
     assert sorted(w.alive_vertices()) == [0, 4, x]
     assert w.adjacent(x, 0) and w.adjacent(x, 4)
     assert not w.adjacent(0, 4)
 
 
-def test_fold_rejects_wrong_degree_and_triangle():
-    w = WorkingGraph(path(4))
-    with pytest.raises(ContractError):
-        w.fold_degree2(0)  # degree 1
-    k3 = build_graph([(0, 1), (1, 2), (0, 2)])
-    w3 = WorkingGraph(k3)
-    with pytest.raises(ContractError):
-        w3.fold_degree2(0)  # neighbors adjacent
-
-
 def test_fold_ids_contiguous_past_base():
     w = WorkingGraph(path(7))
-    first = w.fold_degree2(1)
-    second = w.fold_degree2(4)
+    first = w.fold_degree2(1, w.alive_neighbors(1))
+    second = w.fold_degree2(4, w.alive_neighbors(4))
     assert first == 7 and second == 8
 
 
 def test_fresh_working_graph_ignores_earlier_deletions():
     g = cycle(5)
-    WorkingGraph(g).delete_closed_neighborhood(0)
+    gone = WorkingGraph(g)
+    gone.delete(gone.alive_neighbors(0), (0,))
     w = WorkingGraph(g)
     assert sum(w.alive) == 5
     assert w.live_degree == [2, 2, 2, 2, 2]
@@ -132,7 +116,7 @@ def test_fresh_working_graph_ignores_earlier_deletions():
 def test_fresh_working_graph_has_no_fold_extensions():
     g = cycle(5)
     folded = WorkingGraph(g)
-    folded.fold_degree2(0)
+    folded.fold_degree2(0, folded.alive_neighbors(0))
     assert len(folded.adj) == 6
     w = WorkingGraph(g)
     assert len(w.adj) == 5
@@ -153,17 +137,17 @@ def test_working_audit_under_mixed_ops():
             if w.live_degree[v] == 2:
                 a, b = w.alive_neighbors(v)
                 if not w.adjacent(a, b):
-                    w.fold_degree2(v)
+                    w.fold_degree2(v, [a, b])
                     w.audit()
                     continue
-            w.delete_closed_neighborhood(v)
+            w.delete(w.alive_neighbors(v), (v,))
             w.audit()
         assert g.adjacency == before
 
 
 def test_freeze_compacts_alive_subgraph():
     w = WorkingGraph(cycle(6))
-    w.kill(0)
+    w.delete((0,))
     kernel, orig = w.freeze()
     assert kernel.vertex_count == 5
     assert orig == [1, 2, 3, 4, 5]
@@ -189,34 +173,17 @@ def test_freeze_shares_lists_when_nothing_died():
         if w.alive[v] and w.live_degree[v] == 2:
             if w.adjacent(*w.alive_neighbors(v)):
                 continue
-            w.fold_degree2(v)
+            w.fold_degree2(v, w.alive_neighbors(v))
             folds += 1
     assert folds
     assert kernel.adjacency == before and len(kernel.adjacency) == 40
     assert g.adjacency == before
 
 
-def test_fold_with_passed_neighbors_matches_checked_fold():
-    rng = random.Random(8)
-    for _ in range(30):
-        g = gnp(rng.randint(6, 40), 0.12, rng)
-        checked, trusted = WorkingGraph(g), WorkingGraph(g)
-        for v in range(g.vertex_count):
-            if not checked.alive[v] or checked.live_degree[v] != 2:
-                continue
-            nbrs = checked.alive_neighbors(v)
-            if checked.adjacent(*nbrs):
-                continue
-            assert checked.fold_degree2(v) == trusted.fold_degree2(v, list(nbrs))
-            for field in WorkingGraph.__slots__:
-                assert getattr(checked, field) == getattr(trusted, field), field
-            trusted.audit()
-
-
 def reference_fold(w, u, nbrs):
     """Reference: the fold that kills u, then each merged vertex, walking
     all three lists and queueing a neighbor once per list it is on."""
-    w.kill(u)
+    w.delete((u,))
     alive, live_degree, touched, adj = w.alive, w.live_degree, w.touched, w.adj
     merged = set()
     for v in nbrs:
@@ -268,11 +235,11 @@ def test_fold_matches_reference_fold():
                 assert new.fold_degree2(v, list(nbrs)) == reference_fold(ref, v, nbrs)
                 folds += 1
             elif rng.random() < 0.5:
-                new.delete_closed_neighborhood(v)
-                ref.delete_closed_neighborhood(v)
+                new.delete(new.alive_neighbors(v), (v,))
+                ref.delete(ref.alive_neighbors(v), (v,))
             else:
-                new.kill(v)
-                ref.kill(v)
+                new.delete((v,))
+                ref.delete((v,))
             assert new.adj == ref.adj and new.alive == ref.alive
             alive = new.alive
             assert [d for d, a in zip(new.live_degree, alive) if a] == [

@@ -208,9 +208,9 @@ def test_domination_matches_reference_after_kills_and_folds():
                 break
             v = rng.choice(alive)
             if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
-                w.fold_degree2(v)
+                w.fold_degree2(v, w.alive_neighbors(v))
             else:
-                w.kill(v)
+                w.delete((v,))
         order = list(range(len(w.alive)))
         rng.shuffle(order)
         for v in order:

@@ -141,9 +141,9 @@ def test_greedy_matches_stamp_scan_reference():
                 break
             v = rng.choice(alive)
             if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
-                w.fold_degree2(v)
+                w.fold_degree2(v, w.alive_neighbors(v))
             else:
-                w.kill(v)
+                w.delete((v,))
         view = LiveView.from_working(w)
         expected = {view.ids[v] for v in stamp_scan_greedy(view.adjacency)[0]}
         assert assert_greedy_state(view, trial).solution_set() == expected
@@ -434,7 +434,8 @@ def snapshot(state):
         list(state.tight),
         state.size,
         list(state._free),
-        list(state._free_pos),
+        # A solution vertex's entry is stale: in_sol alone records it.
+        [p for p, sol in zip(state._free_pos, state.in_sol) if not sol],
         list(state._zero_buf),
         list(state._one_buf),
         len(state._queue),
@@ -550,9 +551,9 @@ def test_snapshot_matches_working_graph():
                 break
             v = rng.choice(alive)
             if w.live_degree[v] == 2 and not w.adjacent(*w.alive_neighbors(v)):
-                w.fold_degree2(v)
+                w.fold_degree2(v, w.alive_neighbors(v))
             else:
-                w.kill(v)
+                w.delete((v,))
         view = LiveView.from_working(w)
         view.audit()
         assert view.ids == w.alive_vertices()

@@ -680,6 +680,14 @@ def test_config_validation():
     assert replace(cfg, m=5).n == 25
 
 
+def test_config_rejects_a_cutoff_that_never_ends():
+    # Without max_blocks the cutoff alone ends a run, so it must be finite.
+    for cutoff in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+            RunConfig(cutoff_seconds=cutoff)
+    assert RunConfig(cutoff_seconds=float("inf"), max_blocks=1).max_blocks == 1
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
