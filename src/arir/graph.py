@@ -1,15 +1,61 @@
 """Graph containers: an immutable instance graph and a mutable working view
-that supports vertex deletion and degree-2 folding."""
+that supports vertex deletion and degree-2 folding; the solution check; and
+the pause of the cyclic garbage collector that run and kernelize apply."""
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
+from functools import wraps
 from itertools import chain, compress
 
 
 class ContractError(RuntimeError):
     """A solution failed its check: check_solution raises it for a set that
-    is not independent, or not maximal when maximality is asked for."""
+    names a vertex outside the graph, is not independent, or is not maximal
+    when maximality is asked for."""
+
+
+class paused_cycle_collection:
+    """Context manager, and decorator, that pauses the cyclic garbage
+    collector for its block: if it is enabled, it collects the youngest
+    generation, disables the collector, and enables it again when the block
+    exits, also by an exception. If the caller has disabled it, nothing
+    happens, so nested uses and the caller's own choice both hold.
+
+    The solver makes no reference cycles, so refcounting frees each of its
+    objects when it is dropped; a collection pass would only rescan its
+    live adjacency lists. The young pass on entry frees the caller's recent
+    cyclic garbage, as the passes the block's allocations started used to:
+    the collector counts frees against allocations, so a block that frees
+    what it makes would otherwise leave that garbage waiting for a full
+    threshold of new allocations. The collector is process-wide: while the
+    block runs, cyclic garbage of other threads waits too.
+    """
+
+    __slots__ = ("resume",)
+
+    def __enter__(self) -> None:
+        self.resume = gc.isenabled()
+        if self.resume:
+            gc.collect(0)
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        # Nothing is allocated once the collector is enabled again, so the
+        # pass it may owe starts after the block, not inside it.
+        if self.resume:
+            gc.enable()
+
+    def __call__(self, fn):
+        """Wrap fn so that each call runs under a pause of its own."""
+
+        @wraps(fn)
+        def paused(*args, **kwargs):
+            with paused_cycle_collection():
+                return fn(*args, **kwargs)
+
+        return paused
 
 
 class StaticGraph:
@@ -84,8 +130,18 @@ def free_vertex(graph: StaticGraph, vertices: set[int]) -> int | None:
 def check_solution(
     graph: StaticGraph, vertices: set[int], maximal: bool = True
 ) -> None:
-    """Raise ContractError unless vertices is independent in graph and, if
-    maximal is set, leaves no vertex free."""
+    """Raise ContractError unless every id of vertices is a vertex of graph
+    (0..n-1), vertices is independent in graph and, if maximal is set,
+    vertices leaves no vertex free. An id out of range is named: the
+    smallest if it is negative, else the largest."""
+    if vertices:
+        low, high = min(vertices), max(vertices)
+        if low < 0 or high >= graph.vertex_count:
+            outside = low if low < 0 else high
+            raise ContractError(
+                f"solution names vertex {outside}, outside"
+                f" 0..{graph.vertex_count - 1}"
+            )
     if maximal:
         # One pass collects N(S) as a set. S is independent iff the two are
         # disjoint, and then maximal iff N[S] = N(S) + S covers every

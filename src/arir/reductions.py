@@ -17,7 +17,12 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import StaticGraph, WorkingGraph, check_solution
+from .graph import (
+    StaticGraph,
+    WorkingGraph,
+    check_solution,
+    paused_cycle_collection,
+)
 
 TIERS = ("light", "simple", "advanced")
 
@@ -429,9 +434,14 @@ def run_to_fixpoint(
     return log.fixed, log
 
 
+@paused_cycle_collection()
 def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
     """Reduce a graph to its irreducible kernel under the named tier of rules
-    and renumber the survivors into a compact StaticGraph."""
+    and renumber the survivors into a compact StaticGraph.
+
+    The cyclic garbage collector is paused for the call (see
+    paused_cycle_collection). It is process-wide, so cyclic garbage of
+    other threads waits until the call returns."""
     W = WorkingGraph(graph)
     _, log = run_to_fixpoint(W, ruleset)
     kernel, orig_ids = W.freeze()

@@ -19,7 +19,12 @@ import random
 import time
 from dataclasses import dataclass
 
-from .graph import StaticGraph, WorkingGraph, check_solution
+from .graph import (
+    StaticGraph,
+    WorkingGraph,
+    check_solution,
+    paused_cycle_collection,
+)
 from .reductions import (
     ReductionLog,
     extend_solution,
@@ -121,14 +126,16 @@ class RoundState:
     """One search round over the frozen kernel: the intersection-fixed set S,
     the round's reduction log, the search state (a snapshot of the working
     graph left after deleting N[S]) and the round's best solution (in
-    working-graph ids), plus the running intersection of the solutions
-    recorded this round (None until the first record)."""
+    working-graph ids), plus the intersection and the union of the solutions
+    recorded this round, in working-graph ids (None until the first
+    record)."""
 
     S: set[int]
     round_log: ReductionLog
     state: SolutionState
     current_best: set[int]
-    intersection: set[int] | None = None
+    common: set[int] | None = None
+    seen: set[int] | None = None
 
     @classmethod
     def begin(
@@ -144,15 +151,33 @@ class RoundState:
         return cls(S, round_log, state, state.solution_set())
 
     def record(self, solution: set[int]) -> None:
-        """Intersect a working-graph solution into the running intersection.
-        Recorded sets live on the frozen kernel: round folds are resolved and
-        round-fixed vertices included, but not S, so a later intersection can
-        release previously fixed vertices."""
-        lifted = extend_solution(solution, self.round_log)
-        if self.intersection is None:
-            self.intersection = lifted
+        """Add a working-graph solution to the round's records."""
+        if self.common is None:
+            self.common = set(solution)
+            self.seen = set(solution)
         else:
-            self.intersection &= lifted
+            self.common &= solution
+            self.seen |= solution
+
+    @property
+    def intersection(self) -> set[int] | None:
+        """The intersection of the recorded solutions, each lifted onto the
+        frozen kernel: round folds are resolved and round-fixed vertices
+        included, but not S, so a later intersection can release previously
+        fixed vertices. None before the first record.
+
+        A lift puts each vertex in always (a fixed vertex), exactly when one
+        working vertex z is in, or exactly when z is out (a fold gives its
+        new vertex's membership to the merged pair and its negation to the
+        center, and nested folds compose). So a vertex is in every lifted
+        record iff it is fixed, its z is in every record, or its z is in
+        none: the lifts of the intersection and of the union agree on
+        exactly those vertices."""
+        if self.common is None:
+            return None
+        return extend_solution(self.common, self.round_log) & extend_solution(
+            self.seen, self.round_log
+        )
 
     def lift(self, solution: set[int]) -> set[int]:
         """Lift a working-graph solution onto the frozen kernel: undo the
@@ -165,9 +190,10 @@ class RoundState:
 def restart_round(
     frozen_kernel: StaticGraph, rs: RoundState, config: RunConfig, rng: random.Random
 ) -> RoundState:
-    """Begin a fresh round: fix the intersection recorded in rs, delete its
-    closed neighborhood from the frozen kernel, optionally run the simple
-    reduction tier on the remainder, and reinitialize the search greedily."""
+    """Begin a fresh round: fix the intersection recorded in rs (lifted
+    here, once, through rs's round log), delete its closed neighborhood from
+    the frozen kernel, optionally run the simple reduction tier on the
+    remainder, and reinitialize the search greedily."""
     S, working = rir_reduce(frozen_kernel, rs.intersection)
     round_log = ReductionLog()
     if config.variant == "arir3":
@@ -181,11 +207,16 @@ class RunResult:
     stats: dict
 
 
+@paused_cycle_collection()
 def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     """Solve one instance: kernelize by variant, then search under the cutoff.
 
     Returns the best solution found, lifted to the input graph and verified
     independent and maximal, plus a stats record.
+
+    The cyclic garbage collector is paused for the call (see
+    paused_cycle_collection). It is process-wide, so cyclic garbage of
+    other threads waits until the call returns.
     """
     t_start = time.perf_counter()
     rng = random.Random(config.seed)

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -11,6 +12,7 @@ from arir import (
     ContractError,
     ReductionLog,
     RunConfig,
+    StaticGraph,
     WorkingGraph,
     build_graph,
     exact_mis,
@@ -19,8 +21,10 @@ from arir import (
     run,
 )
 from arir.graph import check_solution, edge_inside, free_vertex
+from arir.reductions import TIERS
 from arir.search import LiveView, SolutionState, arw_block, greedy_init
 from arir.solver import (
+    VARIANTS,
     RoundState,
     adaptive_test,
     restart_round,
@@ -270,6 +274,73 @@ def test_record_intersections():
     assert disjoint.intersection == set()
 
 
+def _subdivided_biclique():
+    """K_{4,4} plus a path between each of four same-side pairs. The simple
+    tier folds a path of three inner vertices once and one of five twice
+    (the second fold consumes the first's new vertex), and each last new
+    vertex stays alive between two non-adjacent vertices of degree 5."""
+    edges = [(a, b) for a in range(4) for b in range(4, 8)]
+    n = 8
+    for (a, b), inner in (((0, 1), 3), ((2, 3), 3), ((4, 5), 5), ((6, 7), 5)):
+        chain = [a, *range(n, n + inner), b]
+        edges += zip(chain, chain[1:])
+        n += inner
+    return build_graph(edges, n)
+
+
+def test_intersection_matches_lifting_every_record():
+    # The intersection lifted once, from the records' intersection and
+    # union, equals the intersection of every record lifted on its own, on
+    # arir3 rounds that fold: on mesh and G(n, m) kernels and on a
+    # subdivided biclique. The round records its local optima, as run()
+    # does; a probe on the same log also records random subsets of the
+    # snapshot, so that a fold's new vertex is in some records and not in
+    # others. The identity holds for any sets of snapshot vertices.
+    rng = random.Random(83)
+    cfg = RunConfig(variant="arir3")
+    instances = (
+        bench_gen.mesh(12, rng),
+        bench_gen.mesh(20, rng),
+        bench_gen.gnm(150, 300, rng),
+    )
+    graphs = [kernelize(build_graph(edges, n)).kernel for n, edges in instances]
+    graphs.append(_subdivided_biclique())
+    folds = nested = needs_common = needs_union = 0
+    for g in graphs:
+        for seed in range(3):
+            # A round with no record restarts on the whole frozen graph.
+            rs, rrng = _round_state(g, seed=seed)
+            for _ in range(6):
+                rs = restart_round(g, rs, cfg, rrng)
+                log = rs.round_log
+                probe = RoundState(rs.S, log, rs.state, rs.current_best)
+                records = []
+                for k in range(4):
+                    arw_block(rs.state, 10)
+                    if k % 2:
+                        ids = rs.state.view.ids
+                        records.append({v for v in ids if rng.random() < 0.5})
+                    else:
+                        records.append(rs.state.solution_set())
+                        rs.record(records[-1])
+                    probe.record(records[-1])
+                    lifted = [extend_solution(r, log) for r in records]
+                    common = set.intersection(*lifted)
+                    assert probe.intersection == common
+                optima = records[::2]
+                assert rs.intersection == set.intersection(
+                    *(extend_solution(r, log) for r in optima)
+                )
+                # Rounds where the lift of the intersection alone, or of the
+                # union alone, would be wrong.
+                needs_union += extend_solution(set.intersection(*records), log) != common
+                needs_common += extend_solution(set.union(*records), log) != common
+                folds += log.fold_count
+                consumed = {t for _, u, v, w in log.folds for t in (u, v, w)}
+                nested += sum(x in consumed for x, *_ in log.folds)
+    assert folds > 0 and nested > 0 and needs_common > 0 and needs_union > 0
+
+
 def test_rir_reduce_empty_intersection_full_copy():
     g = cycle(5)
     rs, _ = _round_state(g)
@@ -483,8 +554,11 @@ def test_restart_lifts_its_round_once(monkeypatch):
         return lift(solution, log, *args, **kwargs)
 
     def counted_restart(*args):
+        # The old round's intersection is lifted inside restart_round, so
+        # the event follows those lifts.
+        rs = restart(*args)
         events.append("restart")
-        return restart(*args)
+        return rs
 
     def counted_block(*args):
         events.append("block")
@@ -573,6 +647,149 @@ def test_check_solution_matches_brute_force():
                 assert not maximal or is_maximal(h, sol)
                 outcomes.add("pass")
     assert outcomes == {"edge", "free", "pass"}
+
+
+def test_check_solution_rejects_ids_outside_the_graph():
+    # A negative id would index a list from its end and a large one past
+    # it; either is named, the smallest if negative, else the largest.
+    g = StaticGraph([[1], [0, 2], [1]])
+    for maximal in (True, False):
+        with pytest.raises(ContractError, match=r"vertex -1, outside 0\.\.2"):
+            check_solution(g, {-1, 0}, maximal)
+        with pytest.raises(ContractError, match=r"vertex -5, outside"):
+            check_solution(g, {-5, -1, 9}, maximal)
+        with pytest.raises(ContractError, match=r"vertex 9, outside"):
+            check_solution(g, {0, 3, 9}, maximal)
+    check_solution(g, {0, 2})
+    check_solution(g, set(), maximal=False)
+    # The light tier keeps every vertex of the cube, a 3-regular graph, so
+    # the kernel's ids are the cube's own and -1 would read as vertex 7.
+    cube = build_graph([(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    kernel = kernelize(cube, "light")
+    assert kernel.kernel.vertex_count == 8
+    for outside in (-1, 99):
+        with pytest.raises(ContractError, match=f"vertex {outside}, outside 0\\.\\.7"):
+            kernel.extend({outside})
+    assert kernel.extend({7}) == {7}
+
+
+def _mesh_and_gnm():
+    rng = random.Random(17)
+    instances = (bench_gen.mesh(20, rng), bench_gen.gnm(400, 600, rng))
+    return [build_graph(edges, n) for n, edges in instances]
+
+
+def test_solver_makes_no_reference_cycles():
+    # The pause in run and kernelize is safe only while refcounting frees
+    # everything they drop: with the collector off, every variant (with
+    # restarts) and every tier leave no cyclic garbage behind.
+    graphs = _mesh_and_gnm()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        restarts = dict.fromkeys(VARIANTS, 0)
+        for g in graphs:
+            for variant in VARIANTS:
+                config = RunConfig(variant=variant, m=20, n=20, max_blocks=60, seed=3)
+                restarts[variant] += run(g, config).stats["restarts"]
+            for tier in TIERS:
+                kernelize(g, tier)
+        unreachable = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
+    assert restarts["arw"] == 0
+    assert all(restarts[v] > 0 for v in ("arir1", "arir2", "arir3"))
+
+
+def test_run_leaves_the_collector_as_it_found_it(monkeypatch):
+    g = petersen()
+    config = RunConfig(max_blocks=2)
+    enabled = gc.isenabled()
+    try:
+        gc.enable()
+        run(g, config)
+        assert gc.isenabled()
+        gc.disable()
+        run(g, config)
+        kernelize(g)
+        assert not gc.isenabled()
+        # A run that raises enables the collector again on its way out.
+        gc.enable()
+
+        def failing_check(*args, **kwargs):
+            raise ContractError("injected")
+
+        monkeypatch.setattr(arir.solver, "check_solution", failing_check)
+        with pytest.raises(ContractError, match="injected"):
+            run(g, config)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_only_a_young_pass_starts_inside_run_or_kernelize():
+    # Each call makes thousands of lists at once (the working graph, the
+    # kernel, the search snapshot), enough to start a collection whatever
+    # the collector's count when it begins. Paused, a call starts one pass,
+    # over the youngest generation, on entry.
+    n, edges = bench_gen.mesh(60, random.Random(17))
+    g = build_graph(edges, n)
+    config = RunConfig(variant="arir3", m=20, n=20, max_blocks=60, seed=3)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    calls = [
+        (run, (g, config)),
+        (kernelize, (g, "advanced")),
+    ]
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        for paused, args in calls:
+            # The same body without the pause starts collections, so the
+            # count can see one.
+            paused.__wrapped__(*args)
+            unpaused_starts = len(starts)
+            starts.clear()
+            paused(*args)
+            # Read before anything else allocates: the collector, enabled
+            # again, may start a pass at the next allocation.
+            paused_starts = len(starts)
+            assert unpaused_starts > 0 and paused_starts == 1
+            assert starts[0] == 0
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+
+
+def test_run_frees_the_callers_young_cyclic_garbage():
+    # The call frees no more than it makes, so the collector's count would
+    # not reach its threshold inside it or just after; the young pass on
+    # entry frees the cycle the caller dropped before the call.
+    class Node:
+        pass
+
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        node = Node()
+        node.self = node
+        dropped = weakref.ref(node)
+        del node
+        run(petersen(), RunConfig(max_blocks=1))
+        assert dropped() is None
+    finally:
+        if not enabled:
+            gc.disable()
 
 
 @pytest.mark.parametrize("variant", ["arir1", "arir2", "arir3", "arw"])
