@@ -36,8 +36,10 @@ class BenchEntry:
 _CONFIG_KEYS = ("m", "n", "max_blocks")
 
 
-def _row_name(entry: BenchEntry) -> str:
-    return os.path.splitext(os.path.basename(entry.instance_path))[0]
+def _instance_name(path: str) -> str:
+    """An instance's name in a solve record and a bench row: its file name
+    without the last extension."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def load_manifest(path: str) -> list[BenchEntry]:
@@ -77,7 +79,7 @@ def load_manifest(path: str) -> list[BenchEntry]:
             # Each row holds one entry's runs of one variant, so two pairs
             # with the same label would merge into one row.
             for variant in variants:
-                label = (_row_name(entry), variant)
+                label = (_instance_name(entry.instance_path), variant)
                 if label in owners:
                     raise ValueError(
                         f"row {label[0]}/{variant} would merge with entry "
@@ -123,7 +125,7 @@ def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[dict]:
     outcomes = iter(outcomes)  # in task order: entry, then variant, then seed
     rows = []
     for entry in entries:
-        name = _row_name(entry)
+        name = _instance_name(entry.instance_path)
         for variant in entry.variants:
             row = dict.fromkeys(CSV_COLUMNS, "")
             row.update(instance=name, variant=variant, runs=0, error=None)

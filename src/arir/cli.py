@@ -9,8 +9,8 @@ import logging
 import os
 import sys
 
-from .bench import load_manifest, run_bench, write_csv
-from .graph import ContractError, edge_inside, free_vertex
+from .bench import _instance_name, load_manifest, run_bench, write_csv
+from .graph import ContractError, _outside, check_solution
 from .io import GRAPH_FORMATS, INDEX_BASES, read_graph, read_solution
 from .io import write_metis, write_solution
 from .oracle import exact_mis
@@ -165,8 +165,7 @@ def cmd_solve(args) -> int:
     if args.emit_solution:
         with _as_unusable():
             write_solution(result.solution, args.emit_solution)
-    stem = os.path.splitext(os.path.basename(args.input))[0]
-    print(json.dumps({"instance": stem, **result.stats}))
+    print(json.dumps({"instance": _instance_name(args.input), **result.stats}))
     return 0
 
 
@@ -188,15 +187,24 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _passes(graph, solution: set[int], maximal: bool) -> bool:
+    """Whether check_solution accepts solution, with maximal as given."""
+    try:
+        check_solution(graph, solution, maximal)
+    except ContractError:
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     with _as_unusable():
         graph = read_graph(args.graph_path, fmt=args.format, index_base=args.index_base)
         solution = read_solution(args.solution_path)
-        for v in solution:
-            if not 0 <= v < graph.vertex_count:
-                raise ValueError(f"vertex id {v} out of range")
-    independent = edge_inside(graph, solution) is None
-    maximal = independent and free_vertex(graph, solution) is None
+    outside = _outside(graph, solution)
+    if outside is not None:
+        raise _Unusable(f"vertex id {outside} out of range")
+    independent = _passes(graph, solution, maximal=False)
+    maximal = independent and _passes(graph, solution, maximal=True)
     print(
         f"size={len(solution)} independent={'true' if independent else 'false'} "
         f"maximal={'true' if maximal else 'false'}"

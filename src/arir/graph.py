@@ -16,46 +16,37 @@ class ContractError(RuntimeError):
     when maximality is asked for."""
 
 
-class paused_cycle_collection:
-    """Context manager, and decorator, that pauses the cyclic garbage
-    collector for its block: if it is enabled, it collects the youngest
-    generation, disables the collector, and enables it again when the block
-    exits, also by an exception. If the caller has disabled it, nothing
-    happens, so nested uses and the caller's own choice both hold.
+def paused_cycle_collection(fn):
+    """Decorate fn so that each call pauses the cyclic garbage collector: if
+    it is enabled, the call collects the youngest generation, disables the
+    collector, and enables it again when fn returns, also by an exception.
+    If the caller has disabled it, nothing changes, so nested calls and the
+    caller's own choice both hold.
 
     The solver makes no reference cycles, so refcounting frees each of its
     objects when it is dropped; a collection pass would only rescan its
     live adjacency lists. The young pass on entry frees the caller's recent
-    cyclic garbage, as the passes the block's allocations started used to:
-    the collector counts frees against allocations, so a block that frees
+    cyclic garbage, as the passes the call's allocations started used to:
+    the collector counts frees against allocations, so a call that frees
     what it makes would otherwise leave that garbage waiting for a full
     threshold of new allocations. The collector is process-wide: while the
-    block runs, cyclic garbage of other threads waits too.
+    call runs, cyclic garbage of other threads waits too.
     """
 
-    __slots__ = ("resume",)
-
-    def __enter__(self) -> None:
-        self.resume = gc.isenabled()
-        if self.resume:
-            gc.collect(0)
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.collect(0)
         gc.disable()
-
-    def __exit__(self, *exc_info) -> None:
-        # Nothing is allocated once the collector is enabled again, so the
-        # pass it may owe starts after the block, not inside it.
-        if self.resume:
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            # Nothing is allocated once the collector is enabled again, so
+            # the pass it may owe starts after the call, not inside it.
             gc.enable()
 
-    def __call__(self, fn):
-        """Wrap fn so that each call runs under a pause of its own."""
-
-        @wraps(fn)
-        def paused(*args, **kwargs):
-            with paused_cycle_collection():
-                return fn(*args, **kwargs)
-
-        return paused
+    return paused
 
 
 class StaticGraph:
@@ -104,62 +95,50 @@ class StaticGraph:
         return f"StaticGraph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def edge_inside(graph: StaticGraph, vertices: set[int]) -> tuple[int, int] | None:
-    """An edge of graph with both ends in vertices, or None if vertices is
-    independent."""
-    adjacency = graph.adjacency
-    if vertices.isdisjoint(chain.from_iterable(map(adjacency.__getitem__, vertices))):
-        return None
-    return next((v, u) for v in vertices for u in adjacency[v] if u in vertices)
-
-
-def free_vertex(graph: StaticGraph, vertices: set[int]) -> int | None:
-    """The smallest vertex of graph that is neither in vertices nor adjacent
-    to one of them, or None if vertices leaves no vertex free."""
-    # Mark the closed neighbourhood of vertices; an unmarked vertex is free.
-    covered = bytearray(graph.vertex_count)
-    adjacency = graph.adjacency
-    for v in vertices:
-        covered[v] = 1
-        for u in adjacency[v]:
-            covered[u] = 1
-    free = covered.find(0)
-    return None if free < 0 else free
+def _outside(graph: StaticGraph, vertices: set[int]) -> int | None:
+    """The id of vertices to name as outside graph (0..n-1): the smallest if
+    it is negative, else the largest; None if every id is a vertex."""
+    if vertices:
+        low, high = min(vertices), max(vertices)
+        if low < 0:
+            return low
+        if high >= graph.vertex_count:
+            return high
+    return None
 
 
 def check_solution(
     graph: StaticGraph, vertices: set[int], maximal: bool = True
 ) -> None:
-    """Raise ContractError unless every id of vertices is a vertex of graph
-    (0..n-1), vertices is independent in graph and, if maximal is set,
-    vertices leaves no vertex free. An id out of range is named: the
-    smallest if it is negative, else the largest."""
-    if vertices:
-        low, high = min(vertices), max(vertices)
-        if low < 0 or high >= graph.vertex_count:
-            outside = low if low < 0 else high
-            raise ContractError(
-                f"solution names vertex {outside}, outside"
-                f" 0..{graph.vertex_count - 1}"
-            )
+    """Raise ContractError unless every id of vertices is a vertex of graph,
+    vertices is independent in graph and, if maximal is set, vertices leaves
+    no vertex free. A failure is named: an id out of range (see _outside),
+    an edge inside vertices, or the smallest free vertex."""
+    outside = _outside(graph, vertices)
+    if outside is not None:
+        raise ContractError(
+            f"solution names vertex {outside}, outside 0..{graph.vertex_count - 1}"
+        )
+    # One pass over the lists of vertices. Maximality needs the size of
+    # N(S), so it collects N(S) as a set and meets it with S; independence
+    # alone streams the lists into S's own intersection and builds no set
+    # but the (empty, when S passes) one it returns.
+    adjacency = graph.adjacency
+    lists = chain.from_iterable(map(adjacency.__getitem__, vertices))
     if maximal:
-        # One pass collects N(S) as a set. S is independent iff the two are
-        # disjoint, and then maximal iff N[S] = N(S) + S covers every
-        # vertex. The finders below run only to name a failure.
-        adjacency = graph.adjacency
-        covered = set(chain.from_iterable(map(adjacency.__getitem__, vertices)))
-        if (
-            covered.isdisjoint(vertices)
-            and len(covered) + len(vertices) == graph.vertex_count
-        ):
-            return
-    edge = edge_inside(graph, vertices)
-    if edge is not None:
-        raise ContractError(f"solution carries edge {edge[0]}-{edge[1]}")
-    if maximal:
-        free = free_vertex(graph, vertices)
-        if free is not None:
-            raise ContractError(f"solution is not maximal: vertex {free} is free")
+        covered = set(lists)
+        inside = covered.intersection(vertices)
+    else:
+        inside = vertices.intersection(lists)
+    if inside:
+        # Every vertex of inside has a neighbour in S: name its smallest.
+        v = min(inside)
+        u = next(filter(vertices.__contains__, adjacency[v]))
+        raise ContractError(f"solution carries edge {v}-{u}")
+    if maximal and len(covered) + len(vertices) < graph.vertex_count:
+        # S is independent, so N[S] = N(S) + S, and what it misses is free.
+        free = min(set(range(graph.vertex_count)).difference(covered, vertices))
+        raise ContractError(f"solution is not maximal: vertex {free} is free")
 
 
 def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:

@@ -434,7 +434,7 @@ def run_to_fixpoint(
     return log.fixed, log
 
 
-@paused_cycle_collection()
+@paused_cycle_collection
 def kernelize(graph: StaticGraph, ruleset: str = "advanced") -> KernelResult:
     """Reduce a graph to its irreducible kernel under the named tier of rules
     and renumber the survivors into a compact StaticGraph.

@@ -207,7 +207,7 @@ class RunResult:
     stats: dict
 
 
-@paused_cycle_collection()
+@paused_cycle_collection
 def run(graph: StaticGraph, config: RunConfig) -> RunResult:
     """Solve one instance: kernelize by variant, then search under the cutoff.
 

@@ -279,10 +279,15 @@ def test_verify_cases(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "independent=true" in out and "maximal=false" in out
 
-    oob = str(tmp_path / "oob.sol")
-    write_solution({9}, oob)
-    assert main(["verify", p3, oob]) == 2
-    capsys.readouterr()
+    # An id out of range is named as check_solution names it: the smallest
+    # if it is negative, else the largest.
+    oob = tmp_path / "oob.sol"
+    for ids, named in (({9}, 9), ({-1, 9}, -1), ({9, 12}, 12)):
+        oob.write_text("".join(f"{v}\n" for v in ids))
+        assert main(["verify", p3, str(oob)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: vertex id {named} out of range\n"
+        assert captured.out == ""
 
     # A repeated id is not merged into a smaller set.
     twice = tmp_path / "twice.sol"
@@ -394,6 +399,30 @@ def test_bench_manifest(tmp_path, capsys):
     rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
     assert rows["c5"][2] == "5" and rows["c5"][3] == "2" and rows["c5"][4] == "2.00"
     assert rows["petersen"][3] == "4" and rows["petersen"][4] == "4.00"
+
+
+def test_solve_and_bench_name_an_instance_alike(tmp_path, capsys):
+    # Only the last extension is dropped, in the solve record and the row.
+    graph_path = metis_file(tmp_path, path(3), "g.v2.graph")
+    assert main(["solve", "--input", graph_path, "--max-blocks", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["instance"] == "g.v2"
+    manifest = tmp_path / "bench.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                {
+                    "instance_path": graph_path,
+                    "cutoff_s": 5.0,
+                    "variants": ["arir2"],
+                    "seeds": [1],
+                    "max_blocks": 1,
+                }
+            ]
+        )
+    )
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[1].startswith("g.v2,arir2,")
 
 
 def test_bench_rerun_reproduces_max_avg(tmp_path, capsys):
