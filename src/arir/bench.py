@@ -1,5 +1,6 @@
 """Benchmark harness: run (instance x variant x seed) grids from a JSON
-manifest and aggregate best/average solution sizes per configuration."""
+manifest and aggregate best/average solution sizes per configuration. The
+grid runs in one process and reads each entry's instance once."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import csv
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .io import check_read_options, open_text, read_graph
@@ -21,7 +21,7 @@ CSV_COLUMNS = ("instance", "variant", "runs", "max", "avg", "avg_time_to_best_s"
 @dataclass(slots=True)
 class BenchEntry:
     """One manifest entry. config carries the entry's run settings; each
-    task sets its own variant and seed on a copy."""
+    run sets its own variant and seed on a copy."""
 
     instance_path: str
     variants: list[str]
@@ -92,49 +92,38 @@ def load_manifest(path: str) -> list[BenchEntry]:
     return entries
 
 
-def _bench_task(task: tuple[BenchEntry, RunConfig]) -> tuple[dict | None, str | None]:
-    entry, config = task
-    try:
-        graph = read_graph(
-            entry.instance_path, fmt=entry.format, index_base=entry.index_base
-        )
-        return run(graph, config).stats, None
-    except Exception as exc:  # noqa: BLE001 - reported as an error row
-        return None, str(exc)
-
-
-def run_bench(entries: list[BenchEntry], jobs: int = 1) -> list[dict]:
+def run_bench(entries: list[BenchEntry]) -> list[dict]:
     """Execute the whole grid and aggregate each entry's runs per variant.
+    An entry's instance is read at its first run, and every later run of the
+    entry solves that graph: run never writes to it.
 
     Each (entry, variant) gives one row: a dict of its formatted CSV cells
     plus "error", None unless a seed failed. A failing seed makes its row an
-    error row (runs 0, empty size and time cells); other rows continue. Rows
-    come back sorted by instance name then variant.
+    error row (runs 0, empty size and time cells); other rows continue. A
+    read that fails fails each run of its entry, which tries the read again.
+    Rows come back sorted by instance name then variant.
     """
-    tasks = [
-        (entry, replace(entry.config, variant=variant, seed=seed))
-        for entry in entries
-        for variant in entry.variants
-        for seed in entry.seeds
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bench_task, tasks))
-    else:
-        outcomes = [_bench_task(t) for t in tasks]
-    outcomes = iter(outcomes)  # in task order: entry, then variant, then seed
     rows = []
     for entry in entries:
         name = _instance_name(entry.instance_path)
+        graph = None
         for variant in entry.variants:
             row = dict.fromkeys(CSV_COLUMNS, "")
             row.update(instance=name, variant=variant, runs=0, error=None)
             sizes, times = [], []
             for seed in entry.seeds:
-                stats, error = next(outcomes)
-                if error is not None:
-                    log.error("%s/%s seed %d failed: %s", name, variant, seed, error)
-                    row["error"] = error
+                try:
+                    if graph is None:
+                        graph = read_graph(
+                            entry.instance_path,
+                            fmt=entry.format,
+                            index_base=entry.index_base,
+                        )
+                    config = replace(entry.config, variant=variant, seed=seed)
+                    stats = run(graph, config).stats
+                except Exception as exc:  # noqa: BLE001 - reported as an error row
+                    log.error("%s/%s seed %d failed: %s", name, variant, seed, exc)
+                    row["error"] = str(exc)
                     continue
                 sizes.append(stats["best_size"])
                 times.append(stats["time_to_best_s"])

@@ -53,8 +53,8 @@ class StaticGraph:
     """Immutable simple undirected graph with sorted adjacency lists.
 
     Vertices are 0-based contiguous ids. No self-loops, no parallel edges;
-    adjacency is symmetric. Instances are safe to share between concurrent
-    solver runs.
+    adjacency is symmetric. kernelize and run never write to it, so one
+    instance serves any number of runs.
     """
 
     __slots__ = ("vertex_count", "adjacency")

@@ -11,9 +11,9 @@ import pytest
 
 import arir.bench
 import arir.cli
-from arir import ContractError, ReductionLog, RunResult, extend_solution, run
+from arir import ContractError, ReductionLog, RunConfig, RunResult, extend_solution, run
 from arir.cli import main
-from arir.io import write_metis, write_solution
+from arir.io import read_graph, write_metis, write_solution
 from helpers import (
     complete,
     cycle,
@@ -22,6 +22,7 @@ from helpers import (
     is_maximal,
     path,
     petersen,
+    random_maximal,
     random_tree,
 )
 
@@ -318,6 +319,23 @@ def test_verify_matches_brute_force_checks(tmp_path, capsys):
             ]
 
 
+def test_verify_reads_a_maximal_independent_set_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_check = arir.cli.check_solution
+
+    def spy(graph, solution, maximal=True):
+        calls.append(maximal)
+        return real_check(graph, solution, maximal)
+
+    monkeypatch.setattr(arir.cli, "check_solution", spy)
+    pet = metis_file(tmp_path, petersen(), "petersen.graph")
+    sol = str(tmp_path / "pet.sol")
+    write_solution(random_maximal(petersen(), random.Random(3)), sol)
+    assert main(["verify", pet, sol]) == 0
+    assert "independent=true" in capsys.readouterr().out
+    assert calls == [True]
+
+
 def test_kernelize_tree(tmp_path, capsys):
     g = random_tree(12, random.Random(3))
     graph_path = metis_file(tmp_path, g, "tree.graph")
@@ -455,33 +473,6 @@ def test_bench_rerun_reproduces_max_avg(tmp_path, capsys):
     assert snapshots[0] == snapshots[1]
 
 
-def test_bench_parallel_jobs(tmp_path, capsys):
-    pet = metis_file(tmp_path, petersen(), "petersen.graph")
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(
-        json.dumps(
-            [
-                {
-                    "instance_path": pet,
-                    "cutoff_s": 5.0,
-                    "variants": ["arir2"],
-                    "seeds": [1, 2, 3, 4],
-                    "m": 100,
-                    "max_blocks": 5,
-                }
-            ]
-        )
-    )
-    csv_path = tmp_path / "rows.csv"
-    rc = main(
-        ["bench", "--manifest", str(manifest), "--csv", str(csv_path), "--jobs", "2"]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    row = csv_path.read_text().strip().splitlines()[1].split(",")
-    assert row[2] == "4" and row[3] == "4"
-
-
 def test_bench_empty_seeds_rejected(tmp_path, capsys):
     c5 = metis_file(tmp_path, cycle(5), "c5.graph")
     manifest = tmp_path / "manifest.json"
@@ -527,6 +518,95 @@ def test_bench_error_row_continues(tmp_path, capsys):
     by_name = {ln.split(",")[0]: ln for ln in lines[1:]}
     assert by_name["broken"].split(",")[2] == "0"
     assert by_name["c5"].split(",")[3] == "2"
+
+
+def test_bench_reads_each_entry_once_and_matches_separate_runs(
+    tmp_path, monkeypatch, capsys
+):
+    # Sparse enough that both tiers fold, dense enough that a kernel of about
+    # 110 vertices is left to search, with sizes that differ by seed.
+    g = gnp(120, 0.06, random.Random(1))
+    graph_path = metis_file(tmp_path, g, "g.graph")
+    real_read = arir.bench.read_graph
+    reads = []
+
+    def counting_read(*args, **kwargs):
+        reads.append(args)
+        return real_read(*args, **kwargs)
+
+    monkeypatch.setattr(arir.bench, "read_graph", counting_read)
+    variants, seeds = ["arir1", "arw"], [1, 2, 3]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                {
+                    "instance_path": graph_path,
+                    "cutoff_s": 5.0,
+                    "variants": variants,
+                    "seeds": seeds,
+                    "m": 5,
+                    "max_blocks": 2,
+                }
+            ]
+        )
+    )
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert reads == [(graph_path,)]
+    rows = [ln.split(",") for ln in csv_path.read_text().strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["g", v] for v in variants]
+    for row, variant in zip(rows, variants):
+        sizes = [
+            run(
+                real_read(graph_path),
+                RunConfig(variant=variant, seed=seed, m=5, max_blocks=2),
+            ).stats["best_size"]
+            for seed in seeds
+        ]
+        assert row[2:5] == [
+            str(len(seeds)),
+            str(max(sizes)),
+            f"{sum(sizes) / len(sizes):.2f}",
+        ]
+
+
+def test_bench_read_failure_fills_every_row_of_its_entry(tmp_path, capsys):
+    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
+    broken = tmp_path / "broken.graph"
+    broken.write_text("garbage\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_graph(str(broken))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                {
+                    "instance_path": str(broken),
+                    "cutoff_s": 1.0,
+                    "variants": ["arir2", "arw"],
+                    "seeds": [1, 2],
+                },
+                {
+                    "instance_path": c5,
+                    "cutoff_s": 1.0,
+                    "variants": ["arir2"],
+                    "seeds": [1],
+                    "m": 10,
+                    "max_blocks": 2,
+                },
+            ]
+        )
+    )
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"error: broken/{variant}: {excinfo.value}\n" for variant in ("arir2", "arw")
+    )
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[1:3] == ["broken,arir2,0,,,", "broken,arw,0,,,"]
+    assert lines[3].startswith("c5,arir2,1,2,2.00,")
 
 
 def test_bench_bad_settings_rejected_before_any_read(tmp_path, monkeypatch, capsys):
@@ -826,26 +906,6 @@ def test_bench_failing_seed_makes_only_its_row_an_error_row(tmp_path, monkeypatc
         "error": "seed 2 failed",
     }
     assert rows[1]["error"] is None and rows[1]["runs"] == 2
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_bench_jobs_below_one_rejected(tmp_path, monkeypatch, capsys, jobs):
-    c5 = metis_file(tmp_path, cycle(5), "c5.graph")
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(
-        json.dumps(
-            [{"instance_path": c5, "cutoff_s": 5.0, "variants": ["arir2"],
-              "seeds": [1], "max_blocks": 1}]
-        )
-    )
-    reads = []
-    monkeypatch.setattr(arir.bench, "read_graph", lambda *a, **k: reads.append(a))
-    csv_path = tmp_path / "o.csv"
-    argv = ["bench", "--manifest", str(manifest), "--csv", str(csv_path), "--jobs", jobs]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
-    assert reads == [] and not csv_path.exists()
 
 
 def test_solve_infinite_time_limit_exits_2(tmp_path, capsys):
