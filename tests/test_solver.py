@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import re
 import sys
@@ -922,3 +923,43 @@ def test_run_global_best_survives_restarts():
     baseline = run(g, RunConfig(variant="arir2", m=10, max_blocks=0, seed=1))
     churned = run(g, RunConfig(variant="arir2", m=10, n=10, max_blocks=150, seed=1))
     assert churned.stats["best_size"] >= baseline.stats["best_size"]
+
+
+# Whole runs of every variant on two small benchmark-shaped graphs, with
+# restarts, in-round folds and lifts: the best size, and a digest of the
+# sorted solution and of the stats less the time to best. A change to any
+# layer's choices shows here; a change that alters solutions on purpose
+# re-pins these and says which moved and why in CHANGES.md.
+PINNED_RUNS = [
+    ("mesh30", "arir1", 338, "d52435c296aa971c"),
+    ("mesh30", "arir2", 338, "21fbfe38f0d87ff9"),
+    ("mesh30", "arir3", 338, "4f046f990dad0a46"),
+    ("mesh30", "arw", 338, "7f3c7955989d4b1a"),
+    ("gnm2k", "arir1", 1061, "fc95fb1e9adedbd9"),
+    ("gnm2k", "arir2", 1061, "6072d3c429cce075"),
+    ("gnm2k", "arir3", 1061, "e8c591ce51c7fe56"),
+    ("gnm2k", "arw", 1061, "82502a9c81aa3bce"),
+]
+
+
+def pinned_run_graph(name):
+    rng = random.Random(name)
+    if name == "mesh30":
+        n, edges = bench_gen.mesh(30, rng)
+    else:
+        n, edges = bench_gen.gnm(2000, 3000, rng)
+    return build_graph(edges, vertex_count_hint=n)
+
+
+def run_digest(result):
+    stats = {k: v for k, v in result.stats.items() if k != "time_to_best_s"}
+    text = f"{sorted(result.solution)}\n{sorted(stats.items())}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("graph,variant,best,digest", PINNED_RUNS)
+def test_runs_pinned(graph, variant, best, digest):
+    g = pinned_run_graph(graph)
+    result = run(g, RunConfig(variant=variant, m=100, n=100, max_blocks=60, seed=7))
+    assert result.stats["best_size"] == best
+    assert run_digest(result) == digest
