@@ -175,9 +175,9 @@ def build_graph(edges, vertex_count_hint: int | None = None) -> StaticGraph:
 class WorkingGraph:
     """Mutable view over a StaticGraph supporting deletion and folding.
 
-    Fold-created vertices get fresh contiguous ids starting at
-    ``base.vertex_count``. Dead vertices never appear in neighborhood query
-    results. Single-owner, single-threaded.
+    Its vertices are the base's, and no operation adds one: a fold keeps
+    one member of the pair it merges. Dead vertices never appear in
+    neighborhood query results. Single-owner, single-threaded.
     """
 
     __slots__ = (
@@ -190,10 +190,11 @@ class WorkingGraph:
     )
 
     def __init__(self, base: StaticGraph):
-        # adj[v]: every neighbor v ever had, dead or alive, ascending. The
-        # lists start out shared with base, so base is never mutated: the
-        # first fold that extends a list copies it and marks it owned, and
-        # later folds append to the copy in place.
+        # adj[v]: every live neighbor of v and possibly dead ones, ascending;
+        # two live vertices are adjacent exactly when each is on the
+        # other's list. The lists start out shared with base, so base is
+        # never mutated: a fold that extends a list copies it first and
+        # marks it owned, and later folds insert into the copy in place.
         self.adj = list(base.adjacency)
         n = base.vertex_count
         self.owned = bytearray(n)
@@ -235,46 +236,52 @@ class WorkingGraph:
 
     def fold_degree2(self, u: int, nbrs: list[int]) -> int:
         """Contract degree-2 vertex u and its two non-adjacent live
-        neighbors nbrs, which the caller has read, into a fresh vertex
-        adjacent to the union of their other neighbors; return the fresh
-        vertex's id."""
+        neighbors nbrs, which the caller has read, into one of the pair, x,
+        adjacent to the union of their other neighbors; return x.
+
+        x is the member with more live neighbors, the first of nbrs on a
+        tie, so only the other member's neighbors are rewired: a common
+        neighbor loses one degree, and any other gains x in place of the
+        dropped member. u and the dropped member die; no id is made."""
         alive = self.alive
         live_degree = self.live_degree
         adj = self.adj
-        # u's only live neighbors are the merged pair, which die with it, so
-        # only the pair's lists are walked. merged keeps each live neighbor
-        # of the pair once, in first-seen order. Each gains x and loses the
-        # pair members it was adjacent to, so only a neighbor of both
-        # changes degree, by -1.
-        alive[u] = False
-        v, w = nbrs
-        alive[v] = alive[w] = False
-        merged = {}
-        for t in adj[v]:
-            if alive[t]:
-                merged[t] = None
-        for t in adj[w]:
-            if alive[t]:
-                if t in merged:
-                    live_degree[t] -= 1
-                else:
-                    merged[t] = None
-        x = len(alive)
-        adj_x = sorted(merged)
-        adj.append(adj_x)
         owned = self.owned
-        owned.append(1)
-        alive.append(True)
-        live_degree.append(len(adj_x))
-        for t in merged:
-            # x is the largest id so far, so the list stays ascending.
-            if owned[t]:
-                adj[t].append(x)
+        v, w = nbrs
+        x, y = (w, v) if live_degree[w] > live_degree[v] else (v, w)
+        alive[u] = alive[y] = False
+        adj_x = adj[x]
+        rewired = [t for t in adj[y] if alive[t]]
+        gained = []
+        for t in rewired:
+            a = adj[t]
+            i = bisect_left(a, x)
+            if i < len(a) and a[i] == x:
+                live_degree[t] -= 1
             else:
-                adj[t] = adj[t] + [x]
-                owned[t] = 1
+                if not owned[t]:
+                    a = adj[t] = a.copy()
+                    owned[t] = 1
+                a.insert(i, x)
+                gained.append(t)
+        kept = [t for t in adj_x if alive[t]]
+        live_degree[x] = len(kept) + len(gained)
+        if gained:
+            # x's new list holds its live neighbors only, so a vertex that
+            # absorbs fold after fold does not walk the dead ones again.
+            # Both parts are ascending, so the sort is a merge.
+            adj[x] = sorted(kept + gained)
+            owned[x] = 1
+        # Every live neighbor of the pair is queued, v's first, then x: a
+        # neighbor of x alone keeps its degree, but a 2-vertex among them
+        # may now close a triangle, and a twin test may now see an edge.
         touched = self.touched
-        touched += merged
+        if x == v:
+            touched += kept
+            touched += rewired
+        else:
+            touched += rewired
+            touched += kept
         touched.append(x)
         return x
 

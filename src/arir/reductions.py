@@ -34,15 +34,18 @@ class ReductionLog:
     """Undo log of one reduction run: the vertices fixed into the solution
     and the folds, each list in the order the rules wrote it. A fold is the
     tuple (x, u, v, w) of its D line: u had exactly the two non-adjacent
-    neighbors v and w, and the three were contracted into x. Lifting a
-    kernel solution through it gives a solution of the graph the log was
-    produced on.
+    neighbors v and w, and the three were contracted into x, which is v or
+    w and keeps its id. (Logs written before folds kept a member gave x a
+    fresh id instead; they lift by the same rule.) Lifting a kernel
+    solution through it gives a solution of the graph the log was produced
+    on.
 
-    No vertex is both fixed and consumed by a fold. A fixed vertex is dead
-    from the moment it is fixed; a fold consumes three vertices that were
-    alive when it ran, and only a fold's new vertex can be fixed later. So
-    the fixed vertices need no common order with the folds: a lift adds them
-    all at once and then undoes the folds in reverse.
+    No fixed vertex is a fold's center or dropped member. A fixed vertex is
+    dead from the moment it is fixed; a fold kills its center and the
+    member other than x, both alive when it ran, and only x lives on and
+    can be fixed later. So the fixed vertices need no common order with the
+    folds: a lift adds them all at once and then undoes the folds in
+    reverse.
     """
 
     __slots__ = ("fixed", "folds", "kernel_map")
@@ -195,7 +198,7 @@ def rule_quadrilateral(
 
     Only the simple tier calls it. Under unrestricted folding it is
     redundant: folding u leaves its partner at degree 1, and the degree-1
-    rule then removes the partner and the fold's new vertex, so the same
+    rule then removes the partner and the fold's kept vertex, so the same
     four vertices leave at the same offset of 2.
     """
     if nbrs is None:
@@ -227,7 +230,8 @@ def rule_fold2(
     restricted: bool = False,
     nbrs: list[int] | None = None,
 ) -> bool:
-    """Fold a 2-vertex with non-adjacent neighbors into a fresh vertex.
+    """Fold a 2-vertex with non-adjacent neighbors into one of them (see
+    WorkingGraph.fold_degree2).
 
     With restricted=True both neighbors must themselves be 2-vertices (the
     in-round variant); preprocessing uses the unrestricted form.
@@ -244,9 +248,16 @@ def rule_fold2(
     return True
 
 
-def rule_domination(W: WorkingGraph, v: int, nbrs: list[int] | None = None) -> bool:
+def rule_domination(
+    W: WorkingGraph,
+    v: int,
+    nbrs: list[int] | None = None,
+    closed: set[int] | None = None,
+    first: int = 0,
+) -> bool:
     """Exclude v when some neighbor u has its closed neighborhood inside v's:
-    an optimum avoiding v then exists."""
+    an optimum avoiding v then exists. closed, if given, is N[v] as a set,
+    and the neighbors before nbrs[first] are known not to be dominated."""
     if nbrs is None:
         if not W.alive[v]:
             return False
@@ -255,13 +266,14 @@ def rule_domination(W: WorkingGraph, v: int, nbrs: list[int] | None = None) -> b
     dv = len(nbrs)
     # N[v], marked once; each candidate u scans its own list against it.
     # Any dominated neighbor removes v, so the candidates need no order.
-    closed = set(nbrs)
-    closed.add(v)
+    if closed is None:
+        closed = set(nbrs)
+        closed.add(v)
     alive = W.alive
     adj = W.adj
     steps = 0
     fired = False
-    for u in nbrs:
+    for u in nbrs[first:]:
         steps += 1
         if live_degree[u] > dv:
             continue
@@ -378,10 +390,29 @@ def _apply_first(W: WorkingGraph, v: int, tier: str, log: ReductionLog) -> bool:
         return False
     if tier != "advanced":
         return False
+    # Each rule left needs a neighbor of degree 1 or an edge inside N(v):
+    # a dominated neighbor u has N(u) - v inside N(v), so it is a 1-vertex
+    # or has a neighbor in N(v); a dominating one is adjacent to all of
+    # N(v) - u, which is not empty; twins need an edge among their three
+    # neighbors. closed holds live ids only, so the dead ids a list in adj
+    # may keep never match. The neighbors before the first that passes are
+    # not dominated; if there is one, it has no neighbor in N(v), so no
+    # neighbor of v is adjacent to the rest of N(v), and none dominates v.
     nbrs = W.alive_neighbors(v)
+    closed = set(nbrs)
+    live_degree = W.live_degree
+    adj = W.adj
+    for first, u in enumerate(nbrs):
+        if live_degree[u] == 1 or not closed.isdisjoint(adj[u]):
+            break
+    else:
+        W.check_steps += d
+        return False
+    W.check_steps += first
+    closed.add(v)
     return (
-        rule_domination(W, v, nbrs)
-        or _dominates_neighbor(W, v, nbrs)
+        rule_domination(W, v, nbrs, closed, first)
+        or (first == 0 and _dominates_neighbor(W, v, nbrs))
         or (d == 3 and rule_twin_edge(W, v, log, nbrs))
     )
 
@@ -412,6 +443,7 @@ def run_to_fixpoint(
     # compress pass per list.
     for v in compress(range(len(alive)), alive):
         (low if live_degree[v] < 3 else high).append(v)
+    # No rule adds a vertex, so one flag per vertex lasts the whole run.
     in_queue = alive.copy()
     # Below the advanced tier no rule fires at degree 3 or more, so such a
     # vertex is popped and passed over without a call; it stays queued as
@@ -424,8 +456,6 @@ def run_to_fixpoint(
             continue
         if _apply_first(W, v, tier, log):
             touched = W.touched
-            if len(in_queue) < len(alive):
-                in_queue.extend([False] * (len(alive) - len(in_queue)))
             for t in touched:
                 if alive[t] and not in_queue[t]:
                     in_queue[t] = True
@@ -454,7 +484,8 @@ def extend_solution(kernel_solution: set[int], log: ReductionLog) -> set[int]:
 
     Every fixed vertex joins the solution, then the folds are undone in
     reverse: each resolves to its merged pair or its folded center. The
-    result gains exactly fixed_count + fold_count vertices.
+    result gains exactly fixed_count + fold_count vertices. A fold's x may
+    be one of its pair or, in older logs, a fresh id; both lift alike.
     """
     if log.kernel_map is not None:
         kmap = log.kernel_map

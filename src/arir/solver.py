@@ -168,8 +168,8 @@ class RoundState:
 
         A lift puts each vertex in always (a fixed vertex), exactly when one
         working vertex z is in, or exactly when z is out (a fold gives its
-        new vertex's membership to the merged pair and its negation to the
-        center, and nested folds compose). So a vertex is in every lifted
+        folded vertex's membership to the merged pair and its negation to
+        the center, and nested folds compose). So a vertex is in every lifted
         record iff it is fixed, its z is in every record, or its z is in
         none: the lifts of the intersection and of the union agree on
         exactly those vertices."""

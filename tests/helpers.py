@@ -49,6 +49,39 @@ def random_tree(n: int, rng: random.Random) -> StaticGraph:
     return build_graph(edges, vertex_count_hint=n)
 
 
+def reference_fold(w, u, nbrs):
+    """Reference: the fold that gives the merged pair a fresh id, as logs
+    written before folds kept one of the pair's ids do. It kills u, then
+    each merged vertex, walking all three lists and queueing a neighbor
+    once per list it is on; the fresh vertex x = len(w.alive) is appended."""
+    w.delete((u,))
+    alive, live_degree, touched, adj = w.alive, w.live_degree, w.touched, w.adj
+    merged = set()
+    for v in nbrs:
+        alive[v] = False
+        for t in adj[v]:
+            if alive[t]:
+                live_degree[t] -= 1
+                touched.append(t)
+                merged.add(t)
+    x = len(alive)
+    adj_x = sorted(merged)
+    adj.append(adj_x)
+    w.owned.append(1)
+    alive.append(True)
+    live_degree.append(len(adj_x))
+    for t in adj_x:
+        if w.owned[t]:
+            adj[t].append(x)
+        else:
+            adj[t] = adj[t] + [x]
+            w.owned[t] = 1
+        live_degree[t] += 1
+        touched.append(t)
+    touched.append(x)
+    return x
+
+
 def random_maximal(g: StaticGraph, rng: random.Random) -> set[int]:
     """A maximal independent set, greedy over a random vertex order."""
     order = list(range(g.vertex_count))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arir import WorkingGraph, build_graph
-from helpers import cycle, gnp, path, star
+from helpers import cycle, gnp, path, reference_fold, star
 
 
 def test_build_path3():
@@ -74,16 +74,18 @@ def test_delete_updates_degrees_like_recount():
 
 
 def test_fold_p3_to_isolated():
+    # The pair 0, 2 ties on degree, so the first, 0, is kept.
     w = WorkingGraph(path(3))
-    assert w.fold_degree2(1, w.alive_neighbors(1)) == 3
-    assert sum(w.alive) == 1
-    assert w.live_degree[3] == 0
+    assert w.fold_degree2(1, w.alive_neighbors(1)) == 0
+    assert w.alive_vertices() == [0]
+    assert w.live_degree[0] == 0
 
 
 def test_fold_c5_gives_triangle():
     w = WorkingGraph(cycle(5))
     x = w.fold_degree2(0, w.alive_neighbors(0))
-    assert w.alive_vertices() == [2, 3, x]
+    assert x == 1
+    assert w.alive_vertices() == [1, 2, 3]
     assert w.adjacent(x, 2) and w.adjacent(x, 3) and w.adjacent(2, 3)
     assert w.live_degree[x] == 2
 
@@ -91,15 +93,26 @@ def test_fold_c5_gives_triangle():
 def test_fold_p5_middle_gives_p3():
     w = WorkingGraph(path(5))
     x = w.fold_degree2(2, w.alive_neighbors(2))
-    assert sorted(w.alive_vertices()) == [0, 4, x]
-    assert w.adjacent(x, 0) and w.adjacent(x, 4)
+    assert x == 1
+    assert w.alive_vertices() == [0, 1, 4]
+    assert w.adjacent(x, 0) and w.adjacent(x, 4) and w.adjacent(4, x)
     assert not w.adjacent(0, 4)
 
 
 def test_fold_ids_contiguous_past_base():
+    # A fold keeps the member with more live neighbors, the first on a tie,
+    # and makes no id, so the lists never grow. Logs written before folds
+    # kept a member name fresh ids from the base's vertex count on, as the
+    # reference fold still makes them.
     w = WorkingGraph(path(7))
     first = w.fold_degree2(1, w.alive_neighbors(1))
     second = w.fold_degree2(4, w.alive_neighbors(4))
+    assert first == 2 and second == 3
+    assert w.alive_vertices() == [2, 3, 6]
+    assert len(w.adj) == len(w.alive) == len(w.live_degree) == len(w.owned) == 7
+    ref = WorkingGraph(path(7))
+    first = reference_fold(ref, 1, ref.alive_neighbors(1))
+    second = reference_fold(ref, 4, ref.alive_neighbors(4))
     assert first == 7 and second == 8
 
 
@@ -117,10 +130,11 @@ def test_fresh_working_graph_has_no_fold_extensions():
     g = cycle(5)
     folded = WorkingGraph(g)
     folded.fold_degree2(0, folded.alive_neighbors(0))
-    assert len(folded.adj) == 6
+    assert folded.adj[1] == [2, 3] and folded.adj[3] == [1, 2, 4]
     w = WorkingGraph(g)
-    assert len(w.adj) == 5
-    assert len(w.alive) == 5
+    assert w.adj == g.adjacency and all(a is b for a, b in zip(w.adj, g.adjacency))
+    assert w.adj[1] == [0, 2] and w.adj[3] == [2, 4]
+    assert len(w.adj) == len(w.alive) == 5
 
 
 def test_working_audit_under_mixed_ops():
@@ -180,46 +194,18 @@ def test_freeze_shares_lists_when_nothing_died():
     assert g.adjacency == before
 
 
-def reference_fold(w, u, nbrs):
-    """Reference: the fold that kills u, then each merged vertex, walking
-    all three lists and queueing a neighbor once per list it is on."""
-    w.delete((u,))
-    alive, live_degree, touched, adj = w.alive, w.live_degree, w.touched, w.adj
-    merged = set()
-    for v in nbrs:
-        alive[v] = False
-        for t in adj[v]:
-            if alive[t]:
-                live_degree[t] -= 1
-                touched.append(t)
-                merged.add(t)
-    x = len(alive)
-    adj_x = sorted(merged)
-    adj.append(adj_x)
-    w.owned.append(1)
-    alive.append(True)
-    live_degree.append(len(adj_x))
-    for t in adj_x:
-        if w.owned[t]:
-            adj[t].append(x)
-        else:
-            adj[t] = adj[t] + [x]
-            w.owned[t] = 1
-        live_degree[t] += 1
-        touched.append(t)
-    touched.append(x)
-    return x
-
-
 def test_fold_matches_reference_fold():
-    # Random folds and deletions on two copies: the same lists, the same
-    # alive set and live degrees, and the same order of first occurrences of
-    # alive vertices in touched, which is the order the fixpoint queues them.
+    # Random folds and deletions on two copies, one folding in place and one
+    # by the fresh-id reference fold, with to_ref mapping each in-place id to
+    # the reference's: the same live graph under the map, and the same set
+    # of alive vertices queued in touched.
     rng = random.Random(29)
     folds = 0
     for _ in range(60):
         g = gnp(rng.randint(6, 50), rng.uniform(0.04, 0.2), rng)
+        before = [list(a) for a in g.adjacency]
         new, ref = WorkingGraph(g), WorkingGraph(g)
+        to_ref = list(range(g.vertex_count))
         for _ in range(25):
             candidates = new.alive_vertices()
             if not candidates:
@@ -231,25 +217,32 @@ def test_fold_matches_reference_fold():
             ]
             v = rng.choice(foldable if foldable and rng.random() < 0.7 else candidates)
             nbrs = new.alive_neighbors(v)
+            ref_nbrs = [to_ref[t] for t in nbrs]
             if len(nbrs) == 2 and not new.adjacent(*nbrs):
-                assert new.fold_degree2(v, list(nbrs)) == reference_fold(ref, v, nbrs)
+                x = new.fold_degree2(v, list(nbrs))
+                assert x in nbrs
+                to_ref[x] = reference_fold(ref, to_ref[v], ref_nbrs)
                 folds += 1
             elif rng.random() < 0.5:
-                new.delete(new.alive_neighbors(v), (v,))
-                ref.delete(ref.alive_neighbors(v), (v,))
+                new.delete(nbrs, (v,))
+                ref.delete(ref_nbrs, (to_ref[v],))
             else:
                 new.delete((v,))
-                ref.delete((v,))
-            assert new.adj == ref.adj and new.alive == ref.alive
-            alive = new.alive
-            assert [d for d, a in zip(new.live_degree, alive) if a] == [
-                d for d, a in zip(ref.live_degree, alive) if a
-            ]
-            first = [dict.fromkeys(t for t in w.touched if alive[t]) for w in (new, ref)]
-            assert list(first[0]) == list(first[1])
+                ref.delete((to_ref[v],))
+            alive = new.alive_vertices()
+            assert sorted(to_ref[t] for t in alive) == ref.alive_vertices()
+            for t in alive:
+                assert new.live_degree[t] == ref.live_degree[to_ref[t]]
+                assert sorted(to_ref[s] for s in new.alive_neighbors(t)) == (
+                    ref.alive_neighbors(to_ref[t])
+                )
+            queued = [{t for t in w.touched if w.alive[t]} for w in (new, ref)]
+            assert {to_ref[t] for t in queued[0]} == queued[1]
             new.touched.clear()
             ref.touched.clear()
             new.audit()
+        assert len(new.alive) == g.vertex_count
+        assert g.adjacency == before
     assert folds > 200
 
 

@@ -37,6 +37,7 @@ from helpers import (
     path,
     random_maximal,
     random_tree,
+    reference_fold,
     star,
 )
 
@@ -143,9 +144,10 @@ def test_fold2_p3_lift_both_ways():
     w = WorkingGraph(path(3))
     log = ReductionLog()
     assert rule_fold2(w, 1, log)
-    assert log.folds == [(3, 1, 0, 2)]
+    # The pair 0, 2 ties on degree, so 0 stands for the folded vertex.
+    assert log.folds == [(0, 1, 0, 2)]
     assert not log.fixed
-    assert extend_solution({3}, log) == {0, 2}
+    assert extend_solution({0}, log) == {0, 2}
     assert extend_solution(set(), log) == {1}
 
 
@@ -449,12 +451,12 @@ def test_unknown_tier_rejected():
 # which follow the worklist order, so a change to a rule or to that order
 # shows here.
 PINNED_KERNELS = [
-    ("gnm", "simple", 1325, "83181586ecd9fe96", "6aefd9dc8e86107e"),
-    ("gnm", "advanced", 281, "de66ea1c68873f6b", "d9a2417162a12cfe"),
-    ("gnm", "light", 358, "25a92d56ea0cada1", "35a48c65c8470ec0"),
+    ("gnm", "simple", 1325, "bc999fbdfdf82c43", "40fcc0c5b82b58ea"),
+    ("gnm", "advanced", 281, "f51b78cabe809234", "6d63ebac89ae5059"),
+    ("gnm", "light", 358, "caf5183d6495e3c3", "15fcf2f9047e06b3"),
     ("mesh", "simple", 3589, "a50ecc8d0fe48199", "ac717fc58bdd606e"),
-    ("mesh", "advanced", 3414, "036f7da3b387757d", "93477f79e56b26a0"),
-    ("mesh", "light", 3596, "5c9a5c1e86641d2a", "76cbe7cf1f927f0a"),
+    ("mesh", "advanced", 3414, "8821eb59c957911d", "29969c5f3d62c31e"),
+    ("mesh", "light", 3596, "81cebb441ad4fd13", "e3dd15fd152791f7"),
 ]
 
 
@@ -466,7 +468,12 @@ def pinned_graph(family):
     return build_graph(edges, vertex_count_hint=n)
 
 
-@pytest.mark.parametrize("family,tier,size,kernel_digest,log_digest", PINNED_KERNELS)
+# Each case is named by its graph and tier only, so a re-pin keeps its id.
+@pytest.mark.parametrize(
+    "family,tier,size,kernel_digest,log_digest",
+    PINNED_KERNELS,
+    ids=[f"{case[0]}-{case[1]}" for case in PINNED_KERNELS],
+)
 def test_kernels_and_logs_pinned(family, tier, size, kernel_digest, log_digest):
     result = kernelize(pinned_graph(family), tier)
 
@@ -533,6 +540,144 @@ def test_alpha_preservation_small(tier):
         assert len(lifted) == total
         # Folds copy a neighbor's list before extending it; the input stays.
         assert g.adjacency == before
+
+
+def audited(fold):
+    """fold, followed by a full audit of the working graph."""
+
+    def fold_and_audit(W, u, nbrs):
+        x = fold(W, u, nbrs)
+        W.audit()
+        return x
+
+    return fold_and_audit
+
+
+def fresh_id_fixpoint(g, tier, monkeypatch):
+    """Kernelize g as before folds kept a member of their pair: every fold
+    by the fresh-id reference_fold, driven by fifo_fixpoint, which queues
+    the ids the folds add. Returns the kernel and its log."""
+    with monkeypatch.context() as m:
+        m.setattr(WorkingGraph, "fold_degree2", audited(reference_fold))
+        w = WorkingGraph(g)
+        log = fifo_fixpoint(w, tier)
+    kernel, log.kernel_map = w.freeze()
+    return kernel, log
+
+
+def small_graphs(rng, count):
+    """Graphs of at most 40 vertices: sparse random multigraph draws, with
+    many degree-2 vertices to fold, and G(n, p)."""
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(4, 40)
+        if rng.random() < 0.6:
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(5 * n // 4)]
+            graphs.append(
+                build_graph([(a, b) for a, b in edges if a != b], vertex_count_hint=n)
+            )
+        else:
+            graphs.append(gnp(n, rng.uniform(0.05, 0.3), rng))
+    return graphs
+
+
+def test_in_place_and_fresh_id_folds_both_exact(monkeypatch):
+    # Each tier with each fold: the working graph passes audit() after every
+    # fold, the input's lists are never written, and α(kernel) plus the
+    # offset is α of the input. The two folds queue vertices in different
+    # orders, so their kernels may differ in size; both must be exact.
+    rng = random.Random(67)
+    fresh_ids = 0
+    for g in small_graphs(rng, 80):
+        before = [list(a) for a in g.adjacency]
+        alpha = exact_mis(g).alpha
+        for tier in reductions.TIERS:
+            with monkeypatch.context() as m:
+                m.setattr(WorkingGraph, "fold_degree2", audited(WorkingGraph.fold_degree2))
+                in_place = kernelize(g, tier)
+            assert max(in_place.log.kernel_map, default=-1) < g.vertex_count
+            fresh, log = fresh_id_fixpoint(g, tier, monkeypatch)
+            fresh_ids += any(x >= g.vertex_count for x, *_ in log.folds)
+            for kernel, log in ((in_place.kernel, in_place.log), (fresh, log)):
+                witness = exact_mis(kernel).witness if kernel.vertex_count else set()
+                assert len(witness) + log.fixed_count + log.fold_count == alpha, tier
+                lifted = extend_solution(witness, log)
+                assert len(lifted) == alpha and is_independent(g, lifted)
+            assert g.adjacency == before
+    assert fresh_ids > 50
+
+
+def test_fresh_id_logs_still_lift(monkeypatch):
+    # A log whose D lines name fresh ids (x at or past the input's vertex
+    # count), as logs written before folds kept a member of their pair do,
+    # read back from its lines and lifts any independent kernel set S to an
+    # independent set of size |S| + offset.
+    rng = random.Random(71)
+    fresh_lines = 0
+    for g in small_graphs(rng, 40):
+        for tier in reductions.TIERS:
+            kernel, log = fresh_id_fixpoint(g, tier, monkeypatch)
+            back = ReductionLog.from_lines(log.to_lines())
+            fresh_lines += any(
+                int(tok) >= g.vertex_count
+                for line in back.to_lines()
+                if line[0] == "D"
+                for tok in line.split()[1:2]
+            )
+            offset = back.fixed_count + back.fold_count
+            for S in (random_maximal(kernel, rng), set()):
+                lifted = extend_solution(S, back)
+                assert is_independent(g, lifted)
+                assert len(lifted) == len(S) + offset
+    assert fresh_lines > 30
+
+
+def test_gate_passes_a_hub_with_a_pendant_and_no_triangle(monkeypatch):
+    # Bipartite graphs stay bipartite under deletions and folds, so no
+    # neighborhood ever holds an edge, and only the degree-1 exception lets
+    # the gate pass. Pendants hang off low-id hubs, and a FIFO worklist
+    # seeded in ascending id examines each hub while its pendant lives, so
+    # the hub is excluded by domination. Gated and ungated dispatch agree.
+    rng = random.Random(73)
+    hub_fires = 0
+    counted = reductions.rule_domination
+
+    def domination(W, v, *args, **kwargs):
+        nonlocal hub_fires
+        degree = W.live_degree[v]
+        fired = counted(W, v, *args, **kwargs)
+        hub_fires += fired and degree >= 3
+        return fired
+
+    monkeypatch.setattr(reductions, "rule_domination", domination)
+    for _ in range(40):
+        left, right = rng.randint(3, 12), rng.randint(3, 12)
+        n = left + right
+        edges = [
+            (a, left + b)
+            for a in range(left)
+            for b in range(right)
+            if rng.random() < 0.3
+        ]
+        hubs = rng.sample(range(left), rng.randint(1, 3))
+        for hub in hubs:
+            edges.append((hub, n))
+            n += 1
+        g = build_graph(edges, vertex_count_hint=n)
+        outcomes = []
+        for side in (reductions._apply_first, ungated_apply_first):
+            with monkeypatch.context() as m:
+                m.setattr(reductions, "_apply_first", side)
+                w = WorkingGraph(g)
+                log = fifo_fixpoint(w, "advanced")
+            outcomes.append((log.to_lines(), w.alive, w.adj))
+        assert outcomes[0] == outcomes[1]
+        w = WorkingGraph(g)
+        for hub in hubs:
+            if w.live_degree[hub] >= 3:
+                assert reductions._apply_first(w, hub, "advanced", ReductionLog())
+                assert not w.alive[hub]
+    assert hub_fires > 20
 
 
 def test_extend_rejects_dependent_input(monkeypatch):
@@ -661,11 +806,13 @@ def test_lift_matches_replay_in_write_order(monkeypatch):
             assert folds == log.folds
             assert [r for r in log.order if not isinstance(r, tuple)] == log.fixed
             # A fold consumes only vertices that were alive; a fixed vertex
-            # is dead at once, so none is consumed. A fold's new vertex may
-            # be fixed later.
-            consumed = {v for fold in log.folds for v in fold[1:]}
+            # is dead at once, so none is a fold's center or dropped member.
+            # A fold's kept member x lives on and may be fixed later.
+            consumed = {u for _, u, _, _ in log.folds}
+            consumed.update(w if x == v else v for x, _, v, w in log.folds)
             assert consumed.isdisjoint(log.fixed)
-            fixed_fold_vertices += sum(v >= g.vertex_count for v in log.fixed)
+            assert all(x in (v, w) for x, _, v, w in log.folds)
+            fixed_fold_vertices += len({x for x, *_ in log.folds}.intersection(log.fixed))
             solutions = [random_maximal(kernel, rng) for _ in range(3)]
             if kernel.vertex_count <= 64:
                 solutions.append(exact_mis(kernel).witness)
@@ -678,9 +825,11 @@ def test_lift_matches_replay_in_write_order(monkeypatch):
 
 
 def test_interleaved_log_lifts_the_same():
-    # Older logs list F and D lines in the order the rules fired. On cycle(5)
-    # the simple tier folds 0 into 5, then fixes one vertex of the triangle
-    # {2, 3, 5}: fixing 5 lifts to 5's merged pair, fixing 2 to {0, 2}.
+    # Older logs list F and D lines in the order the rules fired, and gave
+    # each fold a fresh id. On cycle(5) such a log folds 0 into 5, then
+    # fixes one vertex of the triangle {2, 3, 5}: fixing 5 lifts to 5's
+    # merged pair, fixing 2 to {0, 2}. Folds now keep a member of the pair:
+    # 0 folds into 1, and the simple tier fixes 1 of the triangle {1, 2, 3}.
     g = cycle(5)
     for lines, expected in (
         (["D 5 0 1 4", "F 5"], {1, 4}),
@@ -690,7 +839,9 @@ def test_interleaved_log_lifts_the_same():
         assert log.to_lines() == [lines[1], lines[0]]
         lifted = extend_solution(set(), log)
         assert lifted == expected and is_independent(g, lifted)
-    assert kernelize(g, "simple").log.to_lines() == ["F 2", "D 5 0 1 4"]
+    result = kernelize(g, "simple")
+    assert result.log.to_lines() == ["F 1", "D 1 0 1 4"]
+    assert result.extend(set()) == {1, 4}
 
 
 def test_kernel_lines_in_any_order_lift_the_same():

@@ -931,14 +931,14 @@ def test_run_global_best_survives_restarts():
 # layer's choices shows here; a change that alters solutions on purpose
 # re-pins these and says which moved and why in CHANGES.md.
 PINNED_RUNS = [
-    ("mesh30", "arir1", 338, "d52435c296aa971c"),
-    ("mesh30", "arir2", 338, "21fbfe38f0d87ff9"),
-    ("mesh30", "arir3", 338, "4f046f990dad0a46"),
-    ("mesh30", "arw", 338, "7f3c7955989d4b1a"),
-    ("gnm2k", "arir1", 1061, "fc95fb1e9adedbd9"),
-    ("gnm2k", "arir2", 1061, "6072d3c429cce075"),
-    ("gnm2k", "arir3", 1061, "e8c591ce51c7fe56"),
-    ("gnm2k", "arw", 1061, "82502a9c81aa3bce"),
+    ("mesh30", "arir1", 338, "a381b83caa255f79"),
+    ("mesh30", "arir2", 338, "fcc291bbdc327629"),
+    ("mesh30", "arir3", 338, "7432f49505bf632c"),
+    ("mesh30", "arw", 338, "a56da0d90c1dbe4b"),
+    ("gnm2k", "arir1", 1061, "dc00c80085cf8ec9"),
+    ("gnm2k", "arir2", 1061, "af1a5c0e07cd1560"),
+    ("gnm2k", "arir3", 1061, "45dc82cbaa00720d"),
+    ("gnm2k", "arw", 1061, "d87278f3aec8c81a"),
 ]
 
 
@@ -957,7 +957,11 @@ def run_digest(result):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("graph,variant,best,digest", PINNED_RUNS)
+@pytest.mark.parametrize(
+    "graph,variant,best,digest",
+    PINNED_RUNS,
+    ids=[f"{case[0]}-{case[1]}" for case in PINNED_RUNS],
+)
 def test_runs_pinned(graph, variant, best, digest):
     g = pinned_run_graph(graph)
     result = run(g, RunConfig(variant=variant, m=100, n=100, max_blocks=60, seed=7))
