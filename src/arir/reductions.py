@@ -403,7 +403,9 @@ def _apply_first(W: WorkingGraph, v: int, tier: str, log: ReductionLog) -> bool:
     live_degree = W.live_degree
     adj = W.adj
     for first, u in enumerate(nbrs):
-        if live_degree[u] == 1 or not closed.isdisjoint(adj[u]):
+        a = adj[u]
+        # A list much longer than N(v) is not scanned: the rules decide.
+        if live_degree[u] == 1 or len(a) > 16 * d or not closed.isdisjoint(a):
             break
     else:
         W.check_steps += d

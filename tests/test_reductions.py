@@ -680,6 +680,41 @@ def test_gate_passes_a_hub_with_a_pendant_and_no_triangle(monkeypatch):
     assert hub_fires > 20
 
 
+def test_gate_leaves_hub_neighborhoods_to_the_rules(monkeypatch):
+    # Preferential attachment makes hubs whose lists are far longer than a
+    # neighbor's N(v); the gate does not scan such a list and lets the rules
+    # decide. Gated and ungated dispatch agree, in the worklist order and
+    # in FIFO order, where degree-1 vertices are still alive.
+    rng = random.Random(79)
+    hub_views = 0
+    for _ in range(10):
+        n, k = rng.randint(200, 400), rng.randint(2, 3)
+        edges = [(a, b) for a in range(k + 1) for b in range(a)]
+        ends = [v for e in edges for v in e]
+        for v in range(k + 1, n):
+            for t in {ends[rng.randrange(len(ends))] for _ in range(k)}:
+                edges.append((t, v))
+                ends += (t, v)
+        g = build_graph(edges, vertex_count_hint=n)
+        hub_views += sum(
+            any(g.degree(u) > 16 * g.degree(v) for u in g.adjacency[v])
+            for v in range(n)
+            if g.degree(v) >= 3
+        )
+        for driver in (run_to_fixpoint, fifo_fixpoint):
+            outcomes = []
+            for side in (reductions._apply_first, ungated_apply_first):
+                with monkeypatch.context() as m:
+                    m.setattr(reductions, "_apply_first", side)
+                    w = WorkingGraph(g)
+                    log = driver(w, "advanced")
+                    if isinstance(log, tuple):
+                        log = log[1]
+                outcomes.append((log.to_lines(), w.alive, w.adj))
+            assert outcomes[0] == outcomes[1]
+    assert hub_views > 40
+
+
 def test_extend_rejects_dependent_input(monkeypatch):
     result = kernelize(complete(4), "simple")
     with pytest.raises(ContractError, match="solution carries edge [01]-[01]"):
