@@ -272,8 +272,8 @@ class WorkingGraph:
             # Both parts are ascending, so the sort is a merge.
             adj[x] = sorted(kept + gained)
             owned[x] = 1
-        # Every live neighbor of the pair is queued, v's first, then x: a
-        # neighbor of x alone keeps its degree, but a 2-vertex among them
+        # Every live neighbor of the pair is queued, v's before w's, then x:
+        # a neighbor of x alone keeps its degree, but a 2-vertex among them
         # may now close a triangle, and a twin test may now see an edge.
         touched = self.touched
         if x == v:

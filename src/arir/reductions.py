@@ -390,31 +390,33 @@ def _apply_first(W: WorkingGraph, v: int, tier: str, log: ReductionLog) -> bool:
         return False
     if tier != "advanced":
         return False
-    # Each rule left needs a neighbor of degree 1 or an edge inside N(v):
-    # a dominated neighbor u has N(u) - v inside N(v), so it is a 1-vertex
-    # or has a neighbor in N(v); a dominating one is adjacent to all of
-    # N(v) - u, which is not empty; twins need an edge among their three
-    # neighbors. closed holds live ids only, so the dead ids a list in adj
-    # may keep never match. The neighbors before the first that passes are
-    # not dominated; if there is one, it has no neighbor in N(v), so no
-    # neighbor of v is adjacent to the rest of N(v), and none dominates v.
+    # Only a neighbor of degree at most d can be dominated, and it is then a
+    # 1-vertex or has a neighbor in N(v). One with neither, found before
+    # the first that has one, is not dominated, and since it is adjacent to
+    # none of N(v), no neighbor dominates v either (lone). Twins need an
+    # edge among their three neighbors, so at d = 3 no neighbor is skipped.
+    # closed holds live ids only, so the dead ids a list in adj may keep
+    # never match.
     nbrs = W.alive_neighbors(v)
     closed = set(nbrs)
     live_degree = W.live_degree
     adj = W.adj
+    lone = False
     for first, u in enumerate(nbrs):
-        a = adj[u]
-        # A list much longer than N(v) is not scanned: the rules decide.
-        if live_degree[u] == 1 or len(a) > 16 * d or not closed.isdisjoint(a):
+        du = live_degree[u]
+        if d > 3 and du > d:
+            continue
+        if du == 1 or not closed.isdisjoint(adj[u]):
             break
+        lone = True
     else:
         W.check_steps += d
-        return False
+        return not lone and _dominates_neighbor(W, v, nbrs)
     W.check_steps += first
     closed.add(v)
     return (
         rule_domination(W, v, nbrs, closed, first)
-        or (first == 0 and _dominates_neighbor(W, v, nbrs))
+        or (not lone and _dominates_neighbor(W, v, nbrs))
         or (d == 3 and rule_twin_edge(W, v, log, nbrs))
     )
 

@@ -680,11 +680,12 @@ def test_gate_passes_a_hub_with_a_pendant_and_no_triangle(monkeypatch):
     assert hub_fires > 20
 
 
-def test_gate_leaves_hub_neighborhoods_to_the_rules(monkeypatch):
-    # Preferential attachment makes hubs whose lists are far longer than a
-    # neighbor's N(v); the gate does not scan such a list and lets the rules
-    # decide. Gated and ungated dispatch agree, in the worklist order and
-    # in FIFO order, where degree-1 vertices are still alive.
+def test_gate_matches_ungated_rules_on_hub_graphs(monkeypatch):
+    # Preferential attachment makes hubs, so many vertices have neighbors of
+    # higher degree, which the gate passes over, and some have only such
+    # neighbors, where the reverse domination test still runs. Gated and
+    # ungated dispatch agree, in the worklist order and in FIFO order, where
+    # degree-1 vertices are still alive.
     rng = random.Random(79)
     hub_views = 0
     for _ in range(10):
@@ -697,9 +698,9 @@ def test_gate_leaves_hub_neighborhoods_to_the_rules(monkeypatch):
                 ends += (t, v)
         g = build_graph(edges, vertex_count_hint=n)
         hub_views += sum(
-            any(g.degree(u) > 16 * g.degree(v) for u in g.adjacency[v])
+            all(g.degree(u) > g.degree(v) for u in g.adjacency[v])
             for v in range(n)
-            if g.degree(v) >= 3
+            if g.degree(v) > 3
         )
         for driver in (run_to_fixpoint, fifo_fixpoint):
             outcomes = []
