@@ -634,8 +634,9 @@ def test_fresh_id_logs_still_lift(monkeypatch):
 
 def test_gate_passes_a_hub_with_a_pendant_and_no_triangle(monkeypatch):
     # Bipartite graphs stay bipartite under deletions and folds, so no
-    # neighborhood ever holds an edge, and only the degree-1 exception lets
-    # the gate pass. Pendants hang off low-id hubs, and a FIFO worklist
+    # neighborhood ever holds an edge, and domination fires only through a
+    # degree-1 neighbor, the gate's exception. Pendants hang off low-id
+    # hubs, and a FIFO worklist
     # seeded in ascending id examines each hub while its pendant lives, so
     # the hub is excluded by domination. Gated and ungated dispatch agree.
     rng = random.Random(73)
@@ -702,15 +703,17 @@ def test_gate_matches_ungated_rules_on_hub_graphs(monkeypatch):
             for v in range(n)
             if g.degree(v) > 3
         )
-        for driver in (run_to_fixpoint, fifo_fixpoint):
+        drivers = (
+            lambda w: run_to_fixpoint(w, "advanced")[1],
+            lambda w: fifo_fixpoint(w, "advanced"),
+        )
+        for driver in drivers:
             outcomes = []
             for side in (reductions._apply_first, ungated_apply_first):
                 with monkeypatch.context() as m:
                     m.setattr(reductions, "_apply_first", side)
                     w = WorkingGraph(g)
-                    log = driver(w, "advanced")
-                    if isinstance(log, tuple):
-                        log = log[1]
+                    log = driver(w)
                 outcomes.append((log.to_lines(), w.alive, w.adj))
             assert outcomes[0] == outcomes[1]
     assert hub_views > 40
